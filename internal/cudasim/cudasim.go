@@ -50,6 +50,7 @@ package cudasim
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -246,31 +247,40 @@ func (d *Device) BankConflictDegree(stride int) int {
 // base+i*stride. Addresses are grouped into TransactionBytes-aligned
 // segments; each distinct segment costs one transaction (the Fermi rule,
 // paper §III.D: "anytime an access is needed to an address from a block,
-// the entire block must be transferred").
+// the entire block must be transferred"). More than WarpSize lanes are
+// counted warp by warp.
 func CoalescedTransactions(base, stride, elemBytes, lanes int) int64 {
 	if lanes <= 0 || elemBytes <= 0 {
 		return 0
 	}
-	if lanes > WarpSize {
-		// Full blocks issue per warp; callers pass lanes<=WarpSize, but be
-		// permissive and analyse the first warp's worth per warp group.
-		var total int64
-		for off := 0; off < lanes; off += WarpSize {
-			n := lanes - off
-			if n > WarpSize {
-				n = WarpSize
-			}
-			total += CoalescedTransactions(base+off*stride, stride, elemBytes, n)
-		}
-		return total
+	var total int64
+	for w := 0; w < lanes; w += WarpSize {
+		total += warpSegments(base+w*stride, stride, elemBytes, min(lanes-w, WarpSize))
 	}
-	segs := make(map[int]bool, lanes)
+	return total
+}
+
+// warpSegments counts the distinct segments one warp's lanes touch. Each
+// lane covers the segment range [lo/TransactionBytes, hi/TransactionBytes]
+// and both ends move monotonically with the lane index, so walking the
+// lanes in ascending address order and counting only the segments past
+// the highest one already counted visits each segment once.
+func warpSegments(base, stride, elemBytes, lanes int) int64 {
+	if stride < 0 {
+		base, stride = base+(lanes-1)*stride, -stride
+	}
+	var n int64
+	counted := math.MinInt // highest segment counted so far
 	for lane := 0; lane < lanes; lane++ {
 		lo := base + lane*stride
-		hi := lo + elemBytes - 1
-		for s := lo / TransactionBytes; s <= hi/TransactionBytes; s++ {
-			segs[s] = true
+		first, last := lo/TransactionBytes, (lo+elemBytes-1)/TransactionBytes
+		if first <= counted {
+			first = counted + 1
+		}
+		if last >= first {
+			n += int64(last - first + 1)
+			counted = last
 		}
 	}
-	return int64(len(segs))
+	return n
 }

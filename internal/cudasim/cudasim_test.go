@@ -108,6 +108,47 @@ func TestCoalescedTransactionsMultiWarp(t *testing.T) {
 	}
 }
 
+// segmentSetTransactions is the reference coalescing count: the distinct
+// segments of each warp's lanes, collected in a set.
+func segmentSetTransactions(base, stride, elemBytes, lanes int) int64 {
+	var total int64
+	for w := 0; w < lanes; w += WarpSize {
+		segs := map[int]bool{}
+		for lane := w; lane < min(lanes, w+WarpSize); lane++ {
+			lo := base + lane*stride
+			for s := lo / TransactionBytes; s <= (lo+elemBytes-1)/TransactionBytes; s++ {
+				segs[s] = true
+			}
+		}
+		total += int64(len(segs))
+	}
+	return total
+}
+
+func TestCoalescedTransactionsMatchesSegmentSet(t *testing.T) {
+	for _, base := range []int{0, 1, 127, 130, 4099} {
+		for _, stride := range []int{0, 1, 3, 128, 4096, -1, -3, -128, -4096} {
+			for _, elem := range []int{1, 2, 3, 4, 64, 129, 300} {
+				for lanes := 0; lanes <= 96; lanes++ {
+					got := CoalescedTransactions(base, stride, elem, lanes)
+					if want := segmentSetTransactions(base, stride, elem, lanes); got != want {
+						t.Fatalf("CoalescedTransactions(%d,%d,%d,%d) = %d, want %d",
+							base, stride, elem, lanes, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestParallelReusesLaneContext(t *testing.T) {
+	b := &BlockCtx{NumThreads: 128, cfg: &LaunchConfig{ThreadsPerBlock: 128}}
+	work := func(th *ThreadCtx) { th.Work(int64(th.Tid)) }
+	if allocs := testing.AllocsPerRun(20, func() { b.Parallel(work) }); allocs != 0 {
+		t.Fatalf("a 128-lane phase allocated %v times, want 0", allocs)
+	}
+}
+
 func TestTransferTime(t *testing.T) {
 	d := FermiGTX480()
 	if d.TransferTime(0) != 0 {

@@ -167,7 +167,8 @@ type BlockCtx struct {
 	cfg        *LaunchConfig
 	acct       blockAccount
 	sharedUsed int
-	lanes      []int64 // per-thread cycles within the current phase
+	lanes      []int64   // per-thread cycles within the current phase
+	lane       ThreadCtx // the context Parallel hands each lane in turn
 }
 
 // Shared allocates n bytes of the block's shared memory, zeroed. The sum of
@@ -197,14 +198,16 @@ func (b *BlockCtx) Fault(err error) {
 // semantically concurrent: a correct kernel must not depend on the order in
 // which lanes run, and writes by one lane are visible to others only in the
 // next phase (the implicit barrier between phases is the SyncThreads of
-// the bulk-synchronous model).
+// the bulk-synchronous model). The lanes run one after another on one
+// reused ThreadCtx, so t is valid only until fn returns.
 func (b *BlockCtx) Parallel(fn func(t *ThreadCtx)) {
 	if b.lanes == nil {
 		b.lanes = make([]int64, b.NumThreads)
 	}
+	t := &b.lane
 	for tid := 0; tid < b.NumThreads; tid++ {
-		t := ThreadCtx{Tid: tid, GlobalID: b.Index*b.NumThreads + tid, block: b}
-		fn(&t)
+		*t = ThreadCtx{Tid: tid, GlobalID: b.Index*b.NumThreads + tid, block: b}
+		fn(t)
 		b.lanes[tid] = t.laneCycles
 	}
 	// Fold the phase's lane costs into divergence-adjusted warp cycles.

@@ -83,17 +83,42 @@ func TestLaunchFaultInjected(t *testing.T) {
 	}
 }
 
+// compressKernels are the device compression entry points that probe the
+// launch and transfer fault sites.
+var compressKernels = []struct {
+	name string
+	run  func([]byte, Options) ([]byte, *Report, error)
+}{
+	{"V1", CompressV1},
+	{"V2", CompressV2},
+	{"V2GPUPost", CompressV2GPUPost},
+}
+
 func TestTransferFaultInjected(t *testing.T) {
-	inj := faults.New(testSeed(7)).FailFirst(faults.SiteTransfer, 1)
-	_, _, err := CompressV1(datasets.CFiles(8<<10, 5), Options{Injector: inj})
-	if err == nil {
-		t.Fatal("expected injected transfer fault")
+	// The first transfer probe is the input copy, the second the copy back.
+	dirs := []struct {
+		name string
+		arm  func(*faults.Injector) *faults.Injector
+	}{
+		{"h2d", func(in *faults.Injector) *faults.Injector { return in.FailFirst(faults.SiteTransfer, 1) }},
+		{"d2h", func(in *faults.Injector) *faults.Injector { return in.FailEvery(faults.SiteTransfer, 2) }},
 	}
-	if !faults.IsInjected(err) {
-		t.Fatalf("not an injected fault: %v", err)
-	}
-	if !strings.Contains(err.Error(), "transfer") {
-		t.Fatalf("transfer fault not labelled with its site: %v", err)
+	for _, k := range compressKernels {
+		for _, d := range dirs {
+			t.Run(k.name+"/"+d.name, func(t *testing.T) {
+				inj := d.arm(faults.New(testSeed(7)))
+				_, _, err := k.run(datasets.CFiles(8<<10, 5), Options{Injector: inj})
+				if err == nil {
+					t.Fatal("expected injected transfer fault")
+				}
+				if !faults.IsInjected(err) {
+					t.Fatalf("not an injected fault: %v", err)
+				}
+				if !strings.Contains(err.Error(), d.name+" transfer") {
+					t.Fatalf("transfer fault not labelled with its site and direction: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -122,11 +147,13 @@ func TestDecompressChunkFaultDeterministic(t *testing.T) {
 func TestContextCancelStopsCompression(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := CompressV1(datasets.CFiles(8<<10, 5), Options{Context: ctx})
-	if err == nil || !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("cancelled context not honoured: %v", err)
+	for _, k := range compressKernels {
+		_, _, err := k.run(datasets.CFiles(8<<10, 5), Options{Context: ctx})
+		if err == nil || !strings.Contains(err.Error(), "context canceled") {
+			t.Fatalf("%s: cancelled context not honoured: %v", k.name, err)
+		}
 	}
-	_, _, err = CompressV1Streamed(datasets.CFiles(8<<10, 5), Options{Context: ctx}, 2)
+	_, _, err := CompressV1Streamed(datasets.CFiles(8<<10, 5), Options{Context: ctx}, 2)
 	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("streamed: cancelled context not honoured: %v", err)
 	}

@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -218,6 +219,37 @@ func TestReportsSane(t *testing.T) {
 		}
 		if s := rep.String(); !strings.Contains(s, "culzss_") {
 			t.Fatalf("String() = %q", s)
+		}
+	}
+}
+
+func TestCompressAllocationBounded(t *testing.T) {
+	// The kernels' phases reuse one lane context per block, so heap use
+	// is the inputs' match records, streams and container, not per-lane
+	// bookkeeping.
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on its own")
+	}
+	input := datasets.CFiles(1<<20, 1)
+	for _, c := range []struct {
+		name  string
+		run   func([]byte, Options) ([]byte, *Report, error)
+		bound float64 // heap bytes per input byte
+	}{
+		{"V2", CompressV2, 8},
+		{"V1", CompressV1, 3},
+	} {
+		if _, _, err := c.run(input, Options{}); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := c.run(input, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(input)); perByte > c.bound {
+			t.Errorf("%s allocated %.2f B per input byte, bound %v", c.name, perByte, c.bound)
 		}
 	}
 }

@@ -100,6 +100,9 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	// honest and separate, the matching kernel runs again here with the
 	// selection kernel appended per block.
 	opts.fill(format.CodecCULZSSV2)
+	if err := opts.ctxErr(); err != nil {
+		return nil, nil, err
+	}
 	dev := opts.device()
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
@@ -124,6 +127,9 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	statsPer := make([]lzss.SearchStats, nChunks)
 
 	gIn := cudasim.NewGlobal("input", data)
+	if err := opts.transferFault("h2d"); err != nil {
+		return nil, nil, err
+	}
 	rep, err := dev.LaunchPhased(cudasim.LaunchConfig{
 		Kernel:          "culzss_v2_gpupost",
 		Blocks:          blocks,
@@ -181,6 +187,9 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 		selectedPer[b.Index] = selectChunkPositions(b, matchLen[chunkBase:chunkBase+len(chunk)], cfg.MinMatch)
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := opts.transferFault("d2h"); err != nil {
 		return nil, nil, err
 	}
 	if opts.Stats != nil {

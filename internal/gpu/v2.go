@@ -15,6 +15,9 @@ import (
 // tokens and generates the encoding flags (paper §III.B.2–3).
 func CompressV2(data []byte, opts Options) ([]byte, *Report, error) {
 	opts.fill(format.CodecCULZSSV2)
+	if err := opts.ctxErr(); err != nil {
+		return nil, nil, err
+	}
 	dev := opts.device()
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
@@ -57,6 +60,9 @@ func CompressV2(data []byte, opts Options) ([]byte, *Report, error) {
 	matchDist := make([]uint8, len(data))
 	statsPer := make([]lzss.SearchStats, nChunks)
 
+	if err := opts.transferFault("h2d"); err != nil {
+		return nil, nil, err
+	}
 	rep, err := dev.LaunchPhased(cudasim.LaunchConfig{
 		Kernel:          "culzss_v2",
 		Blocks:          blocks,
@@ -154,6 +160,9 @@ func CompressV2(data []byte, opts Options) ([]byte, *Report, error) {
 		}
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := opts.transferFault("d2h"); err != nil {
 		return nil, nil, err
 	}
 	if opts.Stats != nil {

@@ -34,6 +34,7 @@ func EncodeBitPacked(src []byte, cfg Config, search Search, stats *SearchStats) 
 	}
 	w := bitio.NewWriter(len(src)/2 + 16)
 	m := newMatcher(search, &cfg, src)
+	defer m.release()
 	ob, lb := offsetBits(&cfg), lengthBits(&cfg)
 	for pos := 0; pos < len(src); {
 		match := m.find(pos, stats)

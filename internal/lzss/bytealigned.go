@@ -119,6 +119,7 @@ func EncodeByteAligned(src []byte, cfg Config, search Search, stats *SearchStats
 		return nil, err
 	}
 	m := newMatcher(search, &cfg, src)
+	defer m.release()
 	w := NewByteAlignedWriter(&cfg, len(src)/2+16)
 	for pos := 0; pos < len(src); {
 		match := m.find(pos, stats)

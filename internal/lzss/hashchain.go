@@ -1,5 +1,7 @@
 package lzss
 
+import "sync"
+
 // HashMatcher is a hash-chain longest-match searcher: the paper's §VII
 // "improved searching with better search algorithms" future-work item.
 // It finds exactly matches of length >= MinMatch that the brute scan would
@@ -166,13 +168,32 @@ type matcher struct {
 	nextInsert int
 }
 
+// hashMatchers recycles the hash-chain encoders' matchers: the 128 KiB
+// head table and the chain array would otherwise be allocated afresh for
+// every input, which dominates allocation on short inputs such as the
+// codec selector's probe.
+var hashMatchers sync.Pool
+
 func newMatcher(search Search, cfg *Config, data []byte) *matcher {
 	m := &matcher{search: search, cfg: cfg, data: data}
 	if search == SearchHashChain {
-		m.hm = NewHashMatcher(*cfg)
-		m.hm.Reset(data)
+		hm, _ := hashMatchers.Get().(*HashMatcher)
+		if hm == nil {
+			hm = NewHashMatcher(*cfg)
+		}
+		hm.cfg, hm.maxChain = *cfg, DefaultMaxChain
+		hm.Reset(data)
+		m.hm = hm
 	}
 	return m
+}
+
+// release returns the hash matcher to the pool; m must not be used after.
+func (m *matcher) release() {
+	if m.hm != nil {
+		m.hm.data = nil
+		hashMatchers.Put(m.hm)
+	}
 }
 
 // find returns the longest match at pos, ensuring hash chains cover every

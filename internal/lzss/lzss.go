@@ -28,8 +28,10 @@
 package lzss
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors shared by the decoders.
@@ -131,19 +133,28 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.Matched += other.Matched
 }
 
-// LongestMatch performs the brute-force linear window scan used by the
-// paper's serial implementation and both GPU kernels: every candidate
-// offset in [winStart, pos) is tried, closest first, and the longest match
-// wins; ties therefore prefer the shortest distance (which also makes the
-// output byte-identical to HashMatcher's). The scan stops early when a
-// match of the maximum expressible length is found (which is why LZSS
-// flies on the highly-compressible dataset, Table I last row).
+// LongestMatch performs the brute-force window search used by the paper's
+// serial implementation and both GPU kernels: every candidate offset in
+// [winStart, pos) is tried, closest first, and the longest match wins;
+// ties therefore prefer the shortest distance (which also makes the output
+// byte-identical to HashMatcher's). The scan stops early when a match of
+// the maximum expressible length is found (which is why LZSS flies on the
+// highly-compressible dataset, Table I last row).
 //
 // winStart is the first data index the window may reference. Callers
 // normally pass max(0, pos-cfg.Window); the V2 kernel passes its
 // tile-anchored window start instead. Matches may overlap pos (source
 // extending into the region being matched), exactly as a serial sliding
 // window allows.
+//
+// The scan runs a word at a time: one 64-bit load tests eight window
+// offsets against the lookahead's first byte, and each candidate is
+// extended by XOR-ing eight bytes per step. The counters in stats are
+// those of the byte-at-a-time loop it replaces, which the GPU cycle
+// model charges: Offsets counts every offset from pos-1 down to the last
+// one visited, and Comparisons adds one per offset plus each first-byte
+// candidate's extension length (its matching bytes, with the failing
+// compare folded in).
 func LongestMatch(data []byte, pos, winStart int, cfg *Config, stats *SearchStats) Match {
 	if winStart < 0 {
 		winStart = 0
@@ -163,28 +174,56 @@ func LongestMatch(data []byte, pos, winStart int, cfg *Config, stats *SearchStat
 		return best
 	}
 	first := data[pos]
-	var offs, cmps int64
-	for start := pos - 1; start >= winStart; start-- {
-		offs++
-		cmps++
-		if data[start] != first {
-			continue
+	pattern := uint64(first) * lowBytes
+	// With eight lookahead bytes in data, a candidate costs one load and
+	// XOR against head unless it matches all eight.
+	var head uint64
+	haveHead := pos+8 <= len(data)
+	if haveHead {
+		head = binary.LittleEndian.Uint64(data[pos:])
+	}
+	lowest := min(winStart, pos) // lowest candidate start visited
+	var ext int64                // summed extension lengths of first-byte candidates
+scan:
+	for hi := pos; hi > winStart; hi -= 8 {
+		// z flags, as 0x80 in byte i, each offset base+i holding first.
+		base := hi - 8
+		var z uint64
+		if base >= winStart {
+			z = zeroBytes(binary.LittleEndian.Uint64(data[base:]) ^ pattern)
+		} else {
+			for i := winStart; i < hi; i++ {
+				if data[i] == first {
+					z |= 0x80 << (8 * (i - base))
+				}
+			}
 		}
-		l := 1
-		for l < maxLen && data[start+l] == data[pos+l] {
-			l++
-		}
-		cmps += int64(l) // the extension compares plus the failing one fold together
-		if l > best.Length {
-			best = Match{Distance: pos - start, Length: l}
-			if l == maxLen {
-				break
+		for z != 0 {
+			top := 63 - bits.LeadingZeros64(z)
+			z &^= 1 << top
+			start := base + top>>3
+			var l int
+			if !haveHead {
+				l = extend(data, start, pos, 0, maxLen)
+			} else if x := binary.LittleEndian.Uint64(data[start:]) ^ head; x != 0 {
+				l = min(bits.TrailingZeros64(x)>>3, maxLen)
+			} else {
+				l = extend(data, start, pos, 8, maxLen)
+			}
+			ext += int64(l)
+			if l > best.Length {
+				best = Match{Distance: pos - start, Length: l}
+				if l == maxLen {
+					lowest = start
+					break scan
+				}
 			}
 		}
 	}
 	if stats != nil {
+		offs := int64(pos - lowest)
 		stats.Offsets += offs
-		stats.Comparisons += cmps
+		stats.Comparisons += offs + ext
 		if best.ok(cfg) {
 			stats.Matched++
 		}
@@ -193,6 +232,36 @@ func LongestMatch(data []byte, pos, winStart int, cfg *Config, stats *SearchStat
 		return Match{}
 	}
 	return best
+}
+
+const (
+	lowBytes  = 0x0101010101010101
+	low7Bytes = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroBytes returns 0x80 in every byte of x that is zero and 0 elsewhere.
+// Unlike the (x-0x01..)&^x&0x80.. test it has no false positives: no
+// carry crosses a byte.
+func zeroBytes(x uint64) uint64 {
+	return ^((x&low7Bytes + low7Bytes) | x | low7Bytes)
+}
+
+// extend returns the length of the common prefix of data[a:] and data[b:],
+// capped at maxLen, given that their first l bytes match; a < b and
+// b+maxLen <= len(data).
+func extend(data []byte, a, b, l, maxLen int) int {
+	for ; l < maxLen; l += 8 {
+		if b+l+8 > len(data) {
+			for l < maxLen && data[a+l] == data[b+l] {
+				l++
+			}
+			return l
+		}
+		if x := binary.LittleEndian.Uint64(data[a+l:]) ^ binary.LittleEndian.Uint64(data[b+l:]); x != 0 {
+			return min(l+bits.TrailingZeros64(x)>>3, maxLen)
+		}
+	}
+	return maxLen
 }
 
 // MaxEncodedLenBitPacked bounds the bit-packed stream size for n input

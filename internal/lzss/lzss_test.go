@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -165,19 +166,54 @@ func TestHashMatcherAgreesWithBrute(t *testing.T) {
 }
 
 func TestEncodersIdenticalAcrossSearch(t *testing.T) {
-	cfg := Dipperstein()
-	input := genText(8192, 3)
-	brute, err := EncodeBitPacked(input, cfg, SearchBrute, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Run in sequence, the hash-chain encodes also check that a recycled
+	// matcher keeps nothing from an earlier input or configuration.
+	for i, c := range []struct {
+		cfg   Config
+		input []byte
+	}{
+		{Dipperstein(), genText(8192, 3)},
+		{CULZSSV1(), genText(300, 4)},
+		{CULZSSV2(), bytes.Repeat([]byte("abcde"), 900)},
+		{Dipperstein(), genText(2048, 5)},
+	} {
+		brute, err := EncodeBitPacked(c.input, c.cfg, SearchBrute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := EncodeBitPacked(c.input, c.cfg, SearchHashChain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(brute, hash) {
+			t.Fatalf("case %d: brute and hash-chain streams differ", i)
+		}
 	}
-	hash, err := EncodeBitPacked(input, cfg, SearchHashChain, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestHashChainEncodersConcurrent(t *testing.T) {
+	// Concurrent encoders each take their own matcher from the pool.
+	cfg := CULZSSV1()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		input := genText(3000+500*g, int64(g))
+		want, err := EncodeByteAligned(input, cfg, SearchBrute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := EncodeByteAligned(input, cfg, SearchHashChain, nil)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d run %d: hash-chain stream differs (err %v)", g, i, err)
+					return
+				}
+			}
+		}()
 	}
-	if !bytes.Equal(brute, hash) {
-		t.Fatal("brute and hash-chain streams differ")
-	}
+	wg.Wait()
 }
 
 func roundTripBitPacked(t *testing.T, input []byte, cfg Config, search Search) []byte {

@@ -32,7 +32,7 @@ func TestDecompressFailureLeavesNoDestination(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
 	comp := filepath.Join(dir, "out.clzs")
-	if err := run([]string{"-stream", "-version", "1", "-segment", "8192", in, comp}); err != nil {
+	if err := run([]string{"-stream", "-codec", "v1", "-segment", "8192", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	// Cut the stream mid-frame: decompression must fail with the
@@ -67,7 +67,7 @@ func TestCorruptInputExitCode(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
 	comp := filepath.Join(dir, "out.clz")
-	if err := run([]string{"-version", "1", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(comp)
@@ -127,8 +127,8 @@ func TestResumeCLI(t *testing.T) {
 
 	// Interrupt a durable run mid-stream with a torn write, the way a
 	// crashed `culzss -resume` would leave the file system.
-	p := core.Params{Version: core.Version1, Injector: faults.New(7).TornWriteAt(20 << 10)}
-	w, err := durable.Create(out, p, durable.Options{Stream: core.StreamOptions{SegmentSize: 8192}})
+	p := core.Params{Injector: faults.New(7).TornWriteAt(20 << 10)}
+	w, err := durable.Create(out, p, durable.Options{Stream: core.StreamOptions{SegmentSize: 8192, Codec: "v1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestResumeCLI(t *testing.T) {
 	}
 
 	// The real CLI picks the partial up and completes the stream.
-	if err := run([]string{"-resume", "-version", "1", "-segment", "8192", in, out}); err != nil {
+	if err := run([]string{"-resume", "-codec", "v1", "-segment", "8192", in, out}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(durable.PartialPath(out)); !os.IsNotExist(err) {
@@ -151,7 +151,7 @@ func TestResumeCLI(t *testing.T) {
 
 	// And the result must equal an uninterrupted run.
 	ref := filepath.Join(dir, "ref.clzs")
-	if err := run([]string{"-stream", "-version", "1", "-segment", "8192", in, ref}); err != nil {
+	if err := run([]string{"-stream", "-codec", "v1", "-segment", "8192", in, ref}); err != nil {
 		t.Fatal(err)
 	}
 	gotBytes, err := os.ReadFile(out)
@@ -193,7 +193,7 @@ func TestResumeFreshRunCompresses(t *testing.T) {
 	dir := t.TempDir()
 	in, input := writeInput(t, dir)
 	out := filepath.Join(dir, "out.clzs")
-	if err := run([]string{"-resume", "-version", "1", "-segment", "8192", "-commit-every", "2", in, out}); err != nil {
+	if err := run([]string{"-resume", "-codec", "v1", "-segment", "8192", "-commit-every", "2", in, out}); err != nil {
 		t.Fatal(err)
 	}
 	back := filepath.Join(dir, "back.dat")

@@ -1,6 +1,6 @@
 // Command culzss is the standalone compression program — the paper's
-// "I/O version" (§III): it reads a file, compresses it with the selected
-// CULZSS implementation, and writes the container back out; -d reverses.
+// "I/O version" (§III): it reads a file, compresses it with the codec
+// named by -codec, and writes the container back out; -d reverses.
 //
 // Usage:
 //
@@ -21,8 +21,8 @@
 //
 // Examples:
 //
-//	culzss -version 2 kernel.tar
-//	culzss -version auto -stats big.dat compressed.clz
+//	culzss -codec v2 kernel.tar
+//	culzss -stats big.dat compressed.clz           # -codec auto: V1, V2 or raw
 //	culzss -d compressed.clz restored.dat
 //	culzss -window 64 -tpb 128 -verify data.bin
 //	tar c dir | culzss -stream -segment 262144 - - | ssh host culzss -d - -
@@ -31,7 +31,7 @@
 //	culzss -d -salvage damaged.clzs recovered.dat   # skip damaged segments
 //	culzss -degrade -gpu-timeout 5s -stats big.dat  # supervised GPU dispatch
 //
-// -degrade arms the device-health supervisor on the GPU versions: launch
+// -degrade arms the device-health supervisor on the GPU codecs: launch
 // failures trip a per-device circuit breaker, the device is quarantined
 // and re-probed, and when no healthy device remains the work degrades to
 // the byte-identical CPU encoder instead of failing. -gpu-timeout adds a
@@ -84,7 +84,6 @@ import (
 	"culzss/internal/core"
 	"culzss/internal/durable"
 	"culzss/internal/format"
-	"culzss/internal/gpu"
 	"culzss/internal/health"
 	"culzss/internal/lzss"
 	"culzss/internal/obs"
@@ -131,15 +130,14 @@ func run(args []string) error {
 		decompress = fs.Bool("d", false, "decompress instead of compress")
 		info       = fs.Bool("info", false, "describe a container and exit")
 		dump       = fs.Bool("dump", false, "print token statistics of a CULZSS container and exit")
-		version    = fs.String("version", "auto", "implementation: auto, 1, 2, serial, parallel")
-		codecName  = fs.String("codec", "", "segment codec by registry name: v1, v2, cpu, pthread, bzip2, raw, or auto (adaptive per-segment selection); overrides -version")
-		chunk      = fs.Int("chunk", 0, "chunk size in bytes (0 = version default)")
+		codecName  = fs.String("codec", codec.Auto, "codec by registry name: v1, v2, cpu, pthread, bzip2, raw, or auto (adaptive selection per input, per segment with -stream)")
+		chunk      = fs.Int("chunk", 0, "chunk size in bytes (0 = codec default)")
 		tpb        = fs.Int("tpb", 0, "GPU threads per block (0 = 128)")
-		window     = fs.Int("window", 0, "sliding window size (0 = version default)")
-		maxMatch   = fs.Int("maxmatch", 0, "maximum match length (0 = version default)")
+		window     = fs.Int("window", 0, "sliding window size (0 = codec default)")
+		maxMatch   = fs.Int("maxmatch", 0, "maximum match length (0 = codec default)")
 		verify     = fs.Bool("verify", false, "decompress after compressing and compare")
 		showStats  = fs.Bool("stats", false, "print timing and ratio to stderr")
-		profile    = fs.Bool("profile", false, "print the kernel profiler breakdown to stderr (GPU versions)")
+		profile    = fs.Bool("profile", false, "print the kernel profiler breakdown to stderr (GPU codecs)")
 		stream     = fs.Bool("stream", false, "framed streaming mode: bounded memory, suitable for pipes of any size")
 		segment    = fs.Int("segment", 0, "segment size in bytes for -stream (0 = 1 MiB)")
 		salvage    = fs.Bool("salvage", false, "with -d: best-effort decode of a damaged framed stream, repairing damaged segments from parity frames when present and skipping what cannot be healed")
@@ -167,20 +165,6 @@ func run(args []string) error {
 		Window:          *window,
 		MaxMatch:        *maxMatch,
 	}
-	switch strings.ToLower(*version) {
-	case "auto":
-		params.Version = core.VersionAuto
-	case "1", "v1":
-		params.Version = core.Version1
-	case "2", "v2":
-		params.Version = core.Version2
-	case "serial":
-		params.Version = core.VersionSerial
-	case "parallel", "pthread":
-		params.Version = core.VersionParallel
-	default:
-		return fmt.Errorf("unknown -version %q", *version)
-	}
 	if *gpuTimeout < 0 {
 		return fmt.Errorf("-gpu-timeout must be >= 0, got %v", *gpuTimeout)
 	}
@@ -204,8 +188,8 @@ func run(args []string) error {
 	if *degrade || *gpuTimeout > 0 {
 		// Arm the device-health supervisor: per-device circuit breakers,
 		// the hung-kernel watchdog (when -gpu-timeout is set), and the
-		// byte-identical CPU degrade when the pool is exhausted. The CPU
-		// versions ignore the supervisor, so arming it is always safe.
+		// byte-identical CPU degrade when the pool is exhausted. The host
+		// codecs ignore the supervisor, so arming it is always safe.
 		params.Health = health.NewPool(nil, 1, health.Policy{Deadline: *gpuTimeout, Obs: params.Obs})
 	}
 
@@ -395,15 +379,7 @@ func run(args []string) error {
 		return err
 	}
 	start := time.Now()
-	var (
-		comp   []byte
-		report *gpu.Report
-	)
-	if *codecName != "" {
-		comp, report, err = core.CompressCodec(data, *codecName, params)
-	} else {
-		comp, report, err = core.CompressWithReport(data, params)
-	}
+	comp, report, err := core.Compress(data, *codecName, params)
 	if err != nil {
 		return err
 	}
@@ -437,7 +413,7 @@ func run(args []string) error {
 	}
 	if *profile {
 		if report == nil {
-			fmt.Fprintln(os.Stderr, "profile: CPU version, no kernel launched")
+			fmt.Fprintln(os.Stderr, "profile: host codec, no kernel launched")
 		} else {
 			dev := params.Device
 			if dev == nil {

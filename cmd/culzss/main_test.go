@@ -26,7 +26,7 @@ func TestCompressDecompressCycle(t *testing.T) {
 	comp := filepath.Join(dir, "out.clz")
 	back := filepath.Join(dir, "back.dat")
 
-	if err := run([]string{"-version", "1", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-d", comp, back}); err != nil {
@@ -44,7 +44,7 @@ func TestCompressDecompressCycle(t *testing.T) {
 func TestDefaultOutputNames(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
-	if err := run([]string{"-version", "2", in}); err != nil {
+	if err := run([]string{"-codec", "v2", in}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(in + ".clz"); err != nil {
@@ -71,10 +71,10 @@ func TestDefaultOutputNames(t *testing.T) {
 func TestVerifyAndStatsFlags(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
-	if err := run([]string{"-verify", "-stats", "-version", "serial", in, filepath.Join(dir, "s.clz")}); err != nil {
+	if err := run([]string{"-verify", "-stats", "-codec", "cpu", in, filepath.Join(dir, "s.clz")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-verify", "-stats", "-version", "parallel", in, filepath.Join(dir, "p.clz")}); err != nil {
+	if err := run([]string{"-verify", "-stats", "-codec", "pthread", in, filepath.Join(dir, "p.clz")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +98,7 @@ func TestDumpFlag(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
 	comp := filepath.Join(dir, "c.clz")
-	if err := run([]string{"-version", "1", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-dump", comp}); err != nil {
@@ -106,7 +106,7 @@ func TestDumpFlag(t *testing.T) {
 	}
 	// -dump only understands the CULZSS token streams.
 	serial := filepath.Join(dir, "s.clz")
-	if err := run([]string{"-version", "serial", in, serial}); err != nil {
+	if err := run([]string{"-codec", "cpu", in, serial}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-dump", serial}); err == nil {
@@ -118,7 +118,7 @@ func TestTuningFlags(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
 	comp := filepath.Join(dir, "w.clz")
-	if err := run([]string{"-version", "1", "-window", "64", "-tpb", "64", "-chunk", "2048", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", "-window", "64", "-tpb", "64", "-chunk", "2048", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	back := filepath.Join(dir, "wback.dat")
@@ -137,9 +137,9 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                     // no args
 		{"a", "b", "c"},                        // too many args
-		{"-version", "bogus", in},              // bad version
+		{"-codec", "bogus", in},                // bad codec
 		{filepath.Join(dir, "missing"), "out"}, // missing input
-		{"-version", "1", "-window", "4096", in, filepath.Join(dir, "x.clz")}, // GPU window too big
+		{"-codec", "v1", "-window", "4096", in, filepath.Join(dir, "x.clz")}, // GPU window too big
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
@@ -151,11 +151,11 @@ func TestErrors(t *testing.T) {
 func TestProfileFlag(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
-	if err := run([]string{"-profile", "-version", "2", in, filepath.Join(dir, "pr.clz")}); err != nil {
+	if err := run([]string{"-profile", "-codec", "v2", in, filepath.Join(dir, "pr.clz")}); err != nil {
 		t.Fatal(err)
 	}
-	// CPU versions report "no kernel" but still succeed.
-	if err := run([]string{"-profile", "-version", "serial", in, filepath.Join(dir, "pr2.clz")}); err != nil {
+	// Host codecs report "no kernel" but still succeed.
+	if err := run([]string{"-profile", "-codec", "cpu", in, filepath.Join(dir, "pr2.clz")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +164,7 @@ func TestStreamMode(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
 	framed := filepath.Join(dir, "framed.clzs")
-	if err := run([]string{"-stream", "-segment", "8192", "-stats", "-version", "1", in, framed}); err != nil {
+	if err := run([]string{"-stream", "-segment", "8192", "-stats", "-codec", "v1", in, framed}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(framed)
@@ -230,7 +230,7 @@ func TestStreamModePipes(t *testing.T) {
 	}
 	oldIn, oldOut := os.Stdin, os.Stdout
 	os.Stdin, os.Stdout = inFile, outFile
-	err = run([]string{"-stream", "-version", "serial", "-", "-"})
+	err = run([]string{"-stream", "-codec", "cpu", "-", "-"})
 	os.Stdin, os.Stdout = oldIn, oldOut
 	outFile.Close()
 	if err != nil {
@@ -276,7 +276,7 @@ func TestPipeModePaths(t *testing.T) {
 	}
 	oldIn, oldOut := os.Stdin, os.Stdout
 	os.Stdin, os.Stdout = inFile, outFile
-	err = run([]string{"-version", "1", "-", "-"})
+	err = run([]string{"-codec", "v1", "-", "-"})
 	os.Stdin, os.Stdout = oldIn, oldOut
 	outFile.Close()
 	if err != nil {
@@ -297,7 +297,7 @@ func TestPipeModePaths(t *testing.T) {
 func damageStream(t *testing.T, dir string, in string, segment int, corrupt func([]byte) []byte) string {
 	t.Helper()
 	framed := filepath.Join(dir, "framed.clzs")
-	if err := run([]string{"-stream", "-version", "serial", "-segment", itoa(segment), in, framed}); err != nil {
+	if err := run([]string{"-stream", "-codec", "cpu", "-segment", itoa(segment), in, framed}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(framed)
@@ -424,7 +424,7 @@ func TestExitCodeGeneric(t *testing.T) {
 func parityStream(t *testing.T, dir, in string, segment int, parity string) (string, []byte) {
 	t.Helper()
 	framed := filepath.Join(dir, "parity.clzs")
-	if err := run([]string{"-stream", "-version", "serial", "-segment", itoa(segment),
+	if err := run([]string{"-stream", "-codec", "cpu", "-segment", itoa(segment),
 		"-parity", parity, in, framed}); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestParityResumeFlag(t *testing.T) {
 	const segment = 16 << 10
 
 	// A full durable run with parity (no interruption).
-	if err := run([]string{"-resume", "-version", "serial", "-segment", itoa(segment),
+	if err := run([]string{"-resume", "-codec", "cpu", "-segment", itoa(segment),
 		"-parity", "2+1", in, out}); err != nil {
 		t.Fatal(err)
 	}

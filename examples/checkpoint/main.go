@@ -116,7 +116,7 @@ func restore(data []byte) *sim {
 func dump(path string, state []byte, p core.Params) (*durable.Writer, error) {
 	w, err := durable.Create(path, p, durable.Options{
 		CommitEverySegments: 2,
-		Stream:              core.StreamOptions{SegmentSize: segmentSize},
+		Stream:              core.StreamOptions{SegmentSize: segmentSize, Codec: "v1"},
 	})
 	if err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ func main() {
 	fmt.Printf("durable framed dumps: %d KiB segments, fsync every 2 frames, atomic rename on completion\n\n",
 		segmentSize>>10)
 
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	s := newSim()
 	var lastCheckpoint string
 	var lastState []byte
@@ -187,7 +187,7 @@ func main() {
 			// the last verifiable frame, continue the same stream.
 			rw, rep, err := durable.Resume(path, p, durable.Options{
 				CommitEverySegments: 2,
-				Stream:              core.StreamOptions{SegmentSize: segmentSize},
+				Stream:              core.StreamOptions{SegmentSize: segmentSize, Codec: "v1"},
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -1,6 +1,6 @@
 // Quickstart: the paper's Figure 2 in-memory API end to end.
 //
-// It compresses a buffer with each implementation, decompresses through
+// It compresses a buffer with each codec, decompresses through
 // the codec-dispatching Decompress, verifies the round trip, and prints
 // the paper's Figure 1 worked example encoded by the real encoder.
 //
@@ -15,6 +15,7 @@ import (
 	"log"
 	"time"
 
+	"culzss/internal/codec"
 	"culzss/internal/core"
 	"culzss/internal/datasets"
 	"culzss/internal/lzss"
@@ -55,9 +56,9 @@ func main() {
 	payload := datasets.CFiles(1<<20, 42)
 	fmt.Printf("payload: %s of generated C source\n\n", stats.FormatBytes(int64(len(payload))))
 
-	for _, v := range []core.Version{core.Version1, core.Version2, core.VersionSerial, core.VersionParallel, core.VersionAuto} {
+	for _, name := range []string{"v1", "v2", "cpu", "pthread", codec.Auto} {
 		start := time.Now()
-		comp, report, err := core.CompressWithReport(payload, core.Params{Version: v})
+		comp, report, err := core.Compress(payload, name, core.Params{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,10 +69,10 @@ func main() {
 			log.Fatal(err)
 		}
 		if !bytes.Equal(back, payload) {
-			log.Fatalf("%v: round trip mismatch", v)
+			log.Fatalf("%s: round trip mismatch", name)
 		}
 
-		line := fmt.Sprintf("%-10v ratio %-7s host %-10v", v,
+		line := fmt.Sprintf("%-10s ratio %-7s host %-10v", name,
 			stats.RatioPercent(len(comp), len(payload)), wall.Round(time.Millisecond))
 		if report != nil {
 			line += fmt.Sprintf(" simulated GPU %v (kernel %v)",
@@ -82,5 +83,5 @@ func main() {
 	}
 
 	fmt.Printf("\nauto-selection picked %v for this payload (paper §V: V2 for ~50%% compressible)\n",
-		core.SelectVersion(payload))
+		codec.SelectCodec(payload))
 }

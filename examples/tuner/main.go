@@ -28,7 +28,7 @@ import (
 
 type point struct {
 	window, tpb int
-	version     core.Version
+	codec       string
 	ratio       float64
 	simTime     time.Duration
 }
@@ -52,30 +52,30 @@ func main() {
 		sample = sample[:1<<20]
 	}
 
-	fmt.Printf("%-8s %-8s %-8s %-10s %-12s\n", "version", "window", "tpb", "ratio", "sim time")
+	fmt.Printf("%-8s %-8s %-8s %-10s %-12s\n", "codec", "window", "tpb", "ratio", "sim time")
 	var points []point
-	for _, v := range []core.Version{core.Version1, core.Version2} {
+	for _, name := range []string{"v1", "v2"} {
 		for _, window := range []int{32, 64, 128, 256} {
 			for _, tpb := range []int{64, 128, 256} {
-				if v == core.Version1 && tpb > 128 && window >= 256 {
+				if name == "v1" && tpb > 128 && window >= 256 {
 					continue // cannot be resident: per-thread buffers exceed the SM
 				}
-				comp, report, err := core.CompressWithReport(sample, core.Params{
-					Version: v, Window: window, ThreadsPerBlock: tpb,
+				comp, report, err := core.Compress(sample, name, core.Params{
+					Window: window, ThreadsPerBlock: tpb,
 				})
 				if err != nil {
 					// Some shapes legitimately do not fit (paper §V);
 					// report and move on.
-					fmt.Printf("%-8v %-8d %-8d does not fit (%v)\n", v, window, tpb, err)
+					fmt.Printf("%-8s %-8d %-8d does not fit (%v)\n", name, window, tpb, err)
 					continue
 				}
 				p := point{
-					window: window, tpb: tpb, version: v,
+					window: window, tpb: tpb, codec: name,
 					ratio:   stats.Ratio(len(comp), len(sample)),
 					simTime: report.SaturatedTotal(),
 				}
 				points = append(points, p)
-				fmt.Printf("%-8v %-8d %-8d %-10s %-12v\n", v, window, tpb,
+				fmt.Printf("%-8s %-8d %-8d %-10s %-12v\n", name, window, tpb,
 					stats.RatioPercent(len(comp), len(sample)), p.simTime.Round(time.Microsecond))
 			}
 		}
@@ -106,16 +106,16 @@ func main() {
 
 	fmt.Println()
 	rec := func(label string, p point) {
-		fmt.Printf("%-18s version=%v window=%d tpb=%d  (ratio %s, sim %v)\n", label,
-			p.version, p.window, p.tpb, fmt.Sprintf("%.1f%%", p.ratio*100), p.simTime.Round(time.Microsecond))
+		fmt.Printf("%-18s codec=%s window=%d tpb=%d  (ratio %s, sim %v)\n", label,
+			p.codec, p.window, p.tpb, fmt.Sprintf("%.1f%%", p.ratio*100), p.simTime.Round(time.Microsecond))
 	}
 	rec("fastest:", fastest)
 	rec("best ratio:", smallest)
 	rec("balanced:", balanced)
 
 	// Apply the balanced configuration to the full input.
-	comp, err := core.Compress(data, core.Params{
-		Version: balanced.version, Window: balanced.window, ThreadsPerBlock: balanced.tpb,
+	comp, _, err := core.Compress(data, balanced.codec, core.Params{
+		Window: balanced.window, ThreadsPerBlock: balanced.tpb,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,33 +8,31 @@ import (
 
 	"culzss/internal/bzip2"
 	"culzss/internal/bzip2/bzfile"
+	"culzss/internal/codec"
 	"culzss/internal/core"
 	"culzss/internal/datasets"
 	"culzss/internal/gpu"
 )
 
 // TestEndToEndEveryVersionEveryDataset is the repository-wide integration
-// sweep: every implementation compresses every dataset, every container
+// sweep: every codec compresses every dataset, every container
 // opens through the codec-dispatching public API, and the bytes survive.
 func TestEndToEndEveryVersionEveryDataset(t *testing.T) {
 	const n = 64 << 10
-	versions := []core.Version{
-		core.Version1, core.Version2, core.VersionSerial,
-		core.VersionParallel, core.VersionBZip2, core.VersionAuto,
-	}
+	names := append(codec.Names(), codec.Auto)
 	for _, ds := range datasets.All() {
 		data := ds.Gen(n, 4242)
-		for _, v := range versions {
-			comp, err := core.Compress(data, core.Params{Version: v})
+		for _, name := range names {
+			comp, _, err := core.Compress(data, name, core.Params{})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", ds.Name, v, err)
+				t.Fatalf("%s/%s: %v", ds.Name, name, err)
 			}
 			got, err := core.Decompress(comp, core.Params{})
 			if err != nil {
-				t.Fatalf("%s/%v: decompress: %v", ds.Name, v, err)
+				t.Fatalf("%s/%s: decompress: %v", ds.Name, name, err)
 			}
 			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%v: round trip mismatch", ds.Name, v)
+				t.Fatalf("%s/%s: round trip mismatch", ds.Name, name)
 			}
 		}
 	}

@@ -209,9 +209,6 @@ func TestSelectCodec(t *testing.T) {
 		if got := SelectCodec(tc.data); got != tc.want {
 			t.Errorf("SelectCodec(%s) = %v, want %v", tc.name, got, tc.want)
 		}
-		if e := Select(tc.data); e.Codec() != tc.want {
-			t.Errorf("Select(%s) engine = %v, want %v", tc.name, e.Codec(), tc.want)
-		}
 	}
 }
 

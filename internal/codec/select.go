@@ -5,8 +5,8 @@ import (
 	"culzss/internal/lzss"
 )
 
-// Auto is the StreamOptions.Codec / CLI value selecting the adaptive
-// per-segment engine choice implemented by Select.
+// Auto is the codec name selecting the adaptive per-input (per-segment,
+// in a stream) engine choice implemented by SelectCodec.
 const Auto = "auto"
 
 // selectSampleLen is the probe size: enough bytes for a stable ratio
@@ -26,25 +26,11 @@ const (
 	v1Threshold  = 0.45
 )
 
-// Select is the adaptive per-segment selector: it compresses a small
-// middle sample with a fast matcher and picks the engine by the
-// observed ratio — V2 / V1 / raw-store. The choice is recorded in the
-// emitted container's codec byte, so a stream may change engines at
-// every segment and any Reader dispatches per frame with no extra wire
-// state.
-func Select(data []byte) Engine {
-	c := SelectCodec(data)
-	e, ok := Lookup(c)
-	if !ok {
-		// The built-ins register at init; reaching this means the
-		// registry was torn apart. Fail closed with raw (always present
-		// semantics: store the bytes).
-		e, _ = Lookup(format.CodecStoreRaw)
-	}
-	return e
-}
-
-// SelectCodec is Select returning just the codec identity.
+// SelectCodec is the adaptive selector: it compresses a small middle
+// sample with a fast matcher and picks the engine by the observed ratio
+// — V1 / V2 / raw-store. The choice is recorded in the emitted
+// container's codec byte, so a stream may change engines at every
+// segment and any Reader dispatches per frame with no extra wire state.
 func SelectCodec(data []byte) format.Codec {
 	sample := data
 	if len(sample) > selectSampleLen {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"culzss/internal/codec"
 	"culzss/internal/datasets"
 )
 
@@ -18,7 +19,7 @@ func TestConcurrentCompressDecompress(t *testing.T) {
 		datasets.HighlyCompressible(32<<10, 3),
 		datasets.Dictionary(32<<10, 4),
 	}
-	versions := []Version{Version1, Version2, VersionSerial, VersionParallel, VersionAuto}
+	names := []string{"v1", "v2", "cpu", "pthread", codec.Auto}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 16; w++ {
@@ -26,9 +27,9 @@ func TestConcurrentCompressDecompress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			input := inputs[w%len(inputs)]
-			v := versions[w%len(versions)]
+			name := names[w%len(names)]
 			for rep := 0; rep < 3; rep++ {
-				comp, err := Compress(input, Params{Version: v})
+				comp, _, err := Compress(input, name, Params{})
 				if err != nil {
 					errs <- err
 					return
@@ -62,17 +63,17 @@ func (*mismatchError) Error() string { return "concurrent round trip mismatch" }
 // identical containers (no time- or scheduling-dependent bytes).
 func TestDeterministicOutput(t *testing.T) {
 	input := datasets.KernelTarball(64<<10, 5)
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel} {
-		a, err := Compress(input, Params{Version: v})
+	for _, name := range []string{"v1", "v2", "cpu", "pthread"} {
+		a, _, err := Compress(input, name, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compress(input, Params{Version: v})
+		b, _, err := Compress(input, name, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("%v: non-deterministic container", v)
+			t.Fatalf("%s: non-deterministic container", name)
 		}
 	}
 }

@@ -1,27 +1,24 @@
 // Package core is the CULZSS library surface — the in-memory compression
-// API of the paper's Figure 2, with the version-selection parameter, the
-// tuning knobs promised in §VII (window size, threads per block), file
-// I/O helpers for the standalone-program mode, and io.Reader/io.Writer
-// streaming adapters.
+// API of the paper's Figure 2, with the implementation chosen by codec
+// name on the call (§V), the tuning knobs promised in §VII (window size,
+// threads per block), and io.Reader/io.Writer streaming adapters.
 //
 // The paper's interface is
 //
 //	Gpu_init(); Gpu_compress(buf, len, out, params); Gpu_decompress(...)
 //
 // which maps here to Init (device detection), Compress / Decompress, and
-// Params. Decompress dispatches on the container's codec, so any stream
-// produced by this repository — GPU V1/V2, serial, pthread, bzip2 — opens
-// with the same call.
+// Params. Compress takes a codec registry name ("v1", "v2", "cpu",
+// "pthread", "bzip2", "raw", or "auto"); Decompress dispatches on the
+// container's codec byte, so any stream produced by this repository
+// opens with the same call.
 package core
 
 import (
 	"context"
 	"fmt"
-	"os"
 
-	"culzss/internal/bzip2"
 	"culzss/internal/codec"
-	"culzss/internal/cpulzss"
 	"culzss/internal/cudasim"
 	"culzss/internal/faults"
 	"culzss/internal/format"
@@ -31,65 +28,17 @@ import (
 	"culzss/internal/obs"
 )
 
-// Version selects which implementation compresses the data, mirroring the
-// paper's API parameter ("Users of our library can specify the version on
-// the API call", §V).
-type Version int
-
-// Version values.
-const (
-	// VersionAuto samples the input and picks V1 or V2 by its
-	// compressibility: §V — V2 "gives best performance gain mainly on
-	// files that are around 50% compressible or less", V1 wins on highly
-	// compressible data.
-	VersionAuto Version = iota
-	// Version1 is the chunk-per-thread GPU kernel.
-	Version1
-	// Version2 is the match-per-thread GPU kernel.
-	Version2
-	// VersionSerial is the serial CPU implementation (the paper's
-	// baseline; useful without a GPU).
-	VersionSerial
-	// VersionParallel is the pthread-style chunked CPU implementation.
-	VersionParallel
-	// VersionBZip2 is the from-scratch BZIP2 baseline (the program the
-	// paper compares against), behind the same API.
-	VersionBZip2
-)
-
-// String implements fmt.Stringer.
-func (v Version) String() string {
-	switch v {
-	case VersionAuto:
-		return "auto"
-	case Version1:
-		return "culzss-v1"
-	case Version2:
-		return "culzss-v2"
-	case VersionSerial:
-		return "serial"
-	case VersionParallel:
-		return "parallel"
-	case VersionBZip2:
-		return "bzip2"
-	default:
-		return fmt.Sprintf("version(%d)", int(v))
-	}
-}
-
 // Params are the compression parameters of the paper's API. The zero
-// value is ready to use: automatic version selection with the paper's
-// defaults (4 KiB chunks, 128 threads/block, 128-byte window).
+// value is ready to use: the paper's defaults (4 KiB chunks, 128
+// threads/block, 128-byte window).
 type Params struct {
-	// Version picks the implementation; VersionAuto samples the input.
-	Version Version
-	// ChunkSize is the per-chunk granularity; 0 means the version's
+	// ChunkSize is the per-chunk granularity; 0 means the codec's
 	// default (4 KiB for the GPU kernels, 256 KiB for the CPU parallel).
 	ChunkSize int
 	// ThreadsPerBlock is the GPU block width; 0 means 128 (§III.D).
 	ThreadsPerBlock int
 	// Window overrides the sliding-window size (§VII's tuning API);
-	// 0 means the version's preset. GPU versions accept at most 256.
+	// 0 means the codec's preset. The GPU codecs accept at most 256.
 	Window int
 	// MaxMatch overrides the maximum match length; 0 means the preset.
 	MaxMatch int
@@ -105,7 +54,7 @@ type Params struct {
 	// Production callers leave it nil; the nil Injector is inert.
 	Injector *faults.Injector
 	// Health, when non-nil, supervises the GPU paths with a device pool:
-	// Version1 compressions route over healthy devices through per-device
+	// accelerated codecs route over healthy devices through per-device
 	// circuit breakers and the watchdog, re-dispatching failures and
 	// degrading to the byte-identical host encoder when the whole pool is
 	// quarantined. The streaming Writer additionally reports the
@@ -136,13 +85,9 @@ func Init() *Info {
 	return &Info{Device: d, CUDACores: d.SMs * d.CoresPerSM, SharedPerSM: d.SharedMemPerSM}
 }
 
-// gpuConfig assembles the LZSS configuration for a GPU version, applying
-// the tuning overrides.
-func (p *Params) gpuConfig(v Version) (lzss.Config, error) {
-	cfg := lzss.CULZSSV1()
-	if v == Version2 {
-		cfg = lzss.CULZSSV2()
-	}
+// lzssConfig applies the tuning overrides to a codec's LZSS preset. The
+// GPU kernels stage the window in shared memory, so they cap it at 256.
+func (p *Params) lzssConfig(cfg lzss.Config, gpuKernel bool) (lzss.Config, error) {
 	if p.Window > 0 {
 		cfg.Window = p.Window
 	}
@@ -152,125 +97,40 @@ func (p *Params) gpuConfig(v Version) (lzss.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
-	if cfg.Window > 256 {
-		return cfg, fmt.Errorf("core: GPU versions need window <= 256, got %d", cfg.Window)
+	if gpuKernel && cfg.Window > 256 {
+		return cfg, fmt.Errorf("core: GPU codecs need window <= 256, got %d", cfg.Window)
 	}
 	return cfg, nil
 }
 
-// cpuConfig assembles the LZSS configuration for the CPU versions.
-func (p *Params) cpuConfig() (lzss.Config, error) {
-	cfg := lzss.Dipperstein()
-	if p.Window > 0 {
-		cfg.Window = p.Window
-	}
-	if p.MaxMatch > 0 {
-		cfg.MaxMatch = p.MaxMatch
-	}
-	return cfg, cfg.Validate()
-}
-
-// SelectVersion implements the automatic choice: it compresses a small
-// sample and picks Version1 for highly compressible data, Version2
-// otherwise (§V's guidance, Table I's crossover).
-func SelectVersion(data []byte) Version {
-	const sampleLen = 32 << 10
-	sample := data
-	if len(sample) > sampleLen {
-		// Sample from the middle: file headers are unrepresentative.
-		start := (len(data) - sampleLen) / 2
-		sample = data[start : start+sampleLen]
-	}
-	if len(sample) == 0 {
-		return Version2
-	}
-	comp, err := lzss.EncodeByteAligned(sample, lzss.CULZSSV1(), lzss.SearchHashChain, nil)
+// Compress compresses data in memory per the paper's Gpu_compress with
+// the registry engine called name ("v1", "v2", "cpu", "pthread",
+// "bzip2", "raw"), or with the engine codec.SelectCodec picks for data
+// when name is codec.Auto or empty. The returned buffer is a
+// self-describing container; the report is nil for host engines and for
+// a degraded run. Accelerated engines ride the supervised dispatch
+// ladder when Params.Health is armed.
+func Compress(data []byte, name string, p Params) ([]byte, *gpu.Report, error) {
+	eng, err := resolveEngine(name, data)
 	if err != nil {
-		return Version2
+		return nil, nil, err
 	}
-	ratio := float64(len(comp)) / float64(len(sample))
-	// Table II: DE map (34%) and highly-compressible (14%) favour V1;
-	// C files / kernel (~55%) and dictionary (~61%) favour V2.
-	if ratio < 0.45 {
-		return Version1
+	opts, err := p.engineOptions(eng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return Version2
-}
-
-// Compress compresses data in memory per the paper's Gpu_compress: the
-// returned buffer is a self-describing container.
-func Compress(data []byte, p Params) ([]byte, error) {
-	out, _, err := CompressWithReport(data, p)
-	return out, err
-}
-
-// CompressWithReport additionally returns the GPU performance report
-// (nil for the CPU versions).
-func CompressWithReport(data []byte, p Params) ([]byte, *gpu.Report, error) {
-	v := p.Version
-	if v == VersionAuto {
-		v = SelectVersion(data)
+	if eng.Accelerated() {
+		cont, rep, _, err := gpu.CompressSupervised(eng, data, opts, -1, "compress")
+		return cont, rep, err
 	}
-	switch v {
-	case Version1, Version2:
-		cfg, err := p.gpuConfig(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts := gpu.Options{
-			Device:          p.Device,
-			ChunkSize:       p.ChunkSize,
-			ThreadsPerBlock: p.ThreadsPerBlock,
-			Config:          cfg,
-			HostWorkers:     p.HostWorkers,
-			Stats:           p.Stats,
-			Injector:        p.Injector,
-			Health:          p.Health,
-			Obs:             p.Obs,
-		}
-		if v == Version1 {
-			// With a supervisor, the one-shot call rides the device pool
-			// (redispatch + byte-identical CPU degrade); the report is nil
-			// for a degraded run.
-			cont, rep, _, err := gpu.CompressV1Supervised(data, opts, -1, "compress")
-			return cont, rep, err
-		}
-		return gpu.CompressV2(data, opts)
-	case VersionSerial:
-		cfg, err := p.cpuConfig()
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := cpulzss.CompressSerial(data, cpulzss.Options{Config: cfg, Stats: p.Stats})
-		return out, nil, err
-	case VersionParallel:
-		cfg, err := p.cpuConfig()
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := cpulzss.CompressParallel(data, cpulzss.Options{
-			Config: cfg, ChunkSize: p.ChunkSize, Workers: p.HostWorkers, Stats: p.Stats,
-		})
-		return out, nil, err
-	case VersionBZip2:
-		out, err := bzip2.Compress(data, bzip2.Options{BlockSize: p.ChunkSize, Workers: p.HostWorkers})
-		return out, nil, err
-	default:
-		return nil, nil, fmt.Errorf("core: unknown version %v", p.Version)
-	}
+	return eng.Compress(data, opts)
 }
 
 // Decompress expands any container produced by this repository,
 // dispatching on the recorded codec.
 func Decompress(container []byte, p Params) ([]byte, error) {
-	out, _, err := DecompressWithReport(container, p)
+	out, _, err := decompressInto(nil, container, p, nil, p.HostWorkers)
 	return out, err
-}
-
-// DecompressWithReport additionally returns the GPU report for GPU-coded
-// containers (nil otherwise).
-func DecompressWithReport(container []byte, p Params) ([]byte, *gpu.Report, error) {
-	return decompressInto(nil, container, p, nil, p.HostWorkers)
 }
 
 // decompressInto is the decode core shared by Decompress and the
@@ -318,72 +178,25 @@ func (p *Params) engineOptions(eng codec.Engine) (gpu.Options, error) {
 	var err error
 	switch eng.Codec() {
 	case format.CodecCULZSSV1:
-		opts.Config, err = p.gpuConfig(Version1)
+		opts.Config, err = p.lzssConfig(lzss.CULZSSV1(), true)
 	case format.CodecCULZSSV2:
-		opts.Config, err = p.gpuConfig(Version2)
+		opts.Config, err = p.lzssConfig(lzss.CULZSSV2(), true)
 	case format.CodecSerialBitPacked, format.CodecChunkedBitPacked:
-		opts.Config, err = p.cpuConfig()
+		opts.Config, err = p.lzssConfig(lzss.Dipperstein(), false)
 	}
 	return opts, err
 }
 
-// CompressCodec compresses data with a registry engine chosen by name
-// ("v1", "v2", "cpu", "pthread", "bzip2", "raw"), or adaptively per
-// input when name is codec.Auto. Accelerated engines ride the supervised
-// dispatch ladder when Params.Health is armed, exactly like Compress.
-func CompressCodec(data []byte, name string, p Params) ([]byte, *gpu.Report, error) {
-	eng, err := resolveEngine(name, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts, err := p.engineOptions(eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	if eng.Accelerated() {
-		cont, rep, _, err := gpu.CompressSupervised(eng, data, opts, -1, "compress")
-		return cont, rep, err
-	}
-	return eng.Compress(data, opts)
-}
-
-// resolveEngine maps a StreamOptions.Codec / CLI codec name to an engine,
-// running the adaptive selector for codec.Auto.
+// resolveEngine maps a codec name (Compress, StreamOptions.Codec, the
+// CLI's -codec) to an engine, running the adaptive selector on data for
+// codec.Auto or an empty name.
 func resolveEngine(name string, data []byte) (codec.Engine, error) {
-	if name == codec.Auto {
-		return codec.Select(data), nil
+	if name == "" || name == codec.Auto {
+		if eng, ok := codec.Lookup(codec.SelectCodec(data)); ok {
+			return eng, nil
+		}
+	} else if eng, ok := codec.ByName(name); ok {
+		return eng, nil
 	}
-	eng, ok := codec.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown codec %q (registered: %v, or %q)", name, codec.Names(), codec.Auto)
-	}
-	return eng, nil
-}
-
-// CompressFile is the standalone I/O mode: it reads src, compresses with
-// p, and writes the container to dst.
-func CompressFile(src, dst string, p Params) error {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	out, err := Compress(data, p)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(dst, out, 0o644)
-}
-
-// DecompressFile reads a container from src and writes the expansion to
-// dst.
-func DecompressFile(src, dst string, p Params) error {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	out, err := Decompress(data, p)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(dst, out, 0o644)
+	return nil, fmt.Errorf("core: unknown codec %q (registered: %v, or %q)", name, codec.Names(), codec.Auto)
 }

@@ -3,12 +3,11 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"culzss/internal/codec"
 	"culzss/internal/datasets"
 	"culzss/internal/format"
 )
@@ -31,49 +30,38 @@ func TestInitDetectsDevice(t *testing.T) {
 	}
 }
 
-func TestVersionString(t *testing.T) {
-	for v, want := range map[Version]string{
-		VersionAuto: "auto", Version1: "culzss-v1", Version2: "culzss-v2",
-		VersionSerial: "serial", VersionParallel: "parallel",
-		VersionBZip2: "bzip2", Version(99): "version(99)",
-	} {
-		if got := v.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", v, got, want)
-		}
-	}
-}
-
 func TestCompressDecompressAllVersions(t *testing.T) {
 	input := genText(96<<10, 1)
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel, VersionBZip2, VersionAuto} {
-		comp, err := Compress(input, Params{Version: v})
+	for _, name := range []string{"v1", "v2", "cpu", "pthread", "bzip2", codec.Auto} {
+		comp, _, err := Compress(input, name, Params{})
 		if err != nil {
-			t.Fatalf("%v: %v", v, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(comp) >= len(input) {
-			t.Fatalf("%v: no compression (%d -> %d)", v, len(input), len(comp))
+			t.Fatalf("%s: no compression (%d -> %d)", name, len(input), len(comp))
 		}
 		got, err := Decompress(comp, Params{})
 		if err != nil {
-			t.Fatalf("%v: decompress: %v", v, err)
+			t.Fatalf("%s: decompress: %v", name, err)
 		}
 		if !bytes.Equal(got, input) {
-			t.Fatalf("%v: round trip mismatch", v)
+			t.Fatalf("%s: round trip mismatch", name)
 		}
 	}
 }
 
 func TestCompressedContainersCarryRightCodec(t *testing.T) {
 	input := genText(16<<10, 2)
-	cases := map[Version]format.Codec{
-		Version1:        format.CodecCULZSSV1,
-		Version2:        format.CodecCULZSSV2,
-		VersionSerial:   format.CodecSerialBitPacked,
-		VersionParallel: format.CodecChunkedBitPacked,
-		VersionBZip2:    format.CodecBZip2,
+	cases := map[string]format.Codec{
+		"v1":      format.CodecCULZSSV1,
+		"v2":      format.CodecCULZSSV2,
+		"cpu":     format.CodecSerialBitPacked,
+		"pthread": format.CodecChunkedBitPacked,
+		"bzip2":   format.CodecBZip2,
+		"raw":     format.CodecStoreRaw,
 	}
-	for v, want := range cases {
-		comp, err := Compress(input, Params{Version: v})
+	for name, want := range cases {
+		comp, _, err := Compress(input, name, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,41 +70,52 @@ func TestCompressedContainersCarryRightCodec(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.Codec != want {
-			t.Errorf("%v produced %v, want %v", v, h.Codec, want)
+			t.Errorf("%s produced %v, want %v", name, h.Codec, want)
 		}
 	}
 }
 
+// TestSelectVersionFollowsPaperGuidance checks the codec the default
+// route (an empty name, i.e. codec.Auto) stamps on each Table II dataset.
 func TestSelectVersionFollowsPaperGuidance(t *testing.T) {
-	// Highly compressible (Table II: 13.5%) -> V1.
-	high := datasets.HighlyCompressible(128<<10, 3)
-	if v := SelectVersion(high); v != Version1 {
-		t.Errorf("SelectVersion(highly-compressible) = %v, want V1", v)
+	cases := []struct {
+		name string
+		data []byte
+		want format.Codec
+	}{
+		// Highly compressible (Table II: 13.5%) -> V1.
+		{"highly-compressible", datasets.HighlyCompressible(128<<10, 3), format.CodecCULZSSV1},
+		// DE-map-like data (34%) -> V1.
+		{"de-map", datasets.DEMap(128<<10, 4), format.CodecCULZSSV1},
+		// ~50%+ text -> V2.
+		{"c-files", datasets.CFiles(128<<10, 5), format.CodecCULZSSV2},
+		{"dictionary", datasets.Dictionary(128<<10, 6), format.CodecCULZSSV2},
+		// Empty input is stored raw.
+		{"empty", nil, format.CodecStoreRaw},
 	}
-	// DE-map-like data (34%) -> V1.
-	demap := datasets.DEMap(128<<10, 4)
-	if v := SelectVersion(demap); v != Version1 {
-		t.Errorf("SelectVersion(DE map) = %v, want V1", v)
-	}
-	// ~50%+ text -> V2.
-	cfiles := datasets.CFiles(128<<10, 5)
-	if v := SelectVersion(cfiles); v != Version2 {
-		t.Errorf("SelectVersion(C files) = %v, want V2", v)
-	}
-	dict := datasets.Dictionary(128<<10, 6)
-	if v := SelectVersion(dict); v != Version2 {
-		t.Errorf("SelectVersion(dictionary) = %v, want V2", v)
-	}
-	// Empty input defaults sanely.
-	if v := SelectVersion(nil); v != Version2 {
-		t.Errorf("SelectVersion(nil) = %v", v)
+	for _, tc := range cases {
+		comp, _, err := Compress(tc.data, "", Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h, _, err := format.ParseHeader(comp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if h.Codec != tc.want {
+			t.Errorf("default codec for %s = %v, want %v", tc.name, h.Codec, tc.want)
+		}
+		got, err := Decompress(comp, Params{})
+		if err != nil || !bytes.Equal(got, tc.data) {
+			t.Errorf("%s: round trip failed: %v", tc.name, err)
+		}
 	}
 }
 
 func TestTuningOverrides(t *testing.T) {
 	input := genText(32<<10, 7)
 	// Window override for GPU versions (§VII tuning API).
-	comp, err := Compress(input, Params{Version: Version1, Window: 64})
+	comp, _, err := Compress(input, "v1", Params{Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +127,11 @@ func TestTuningOverrides(t *testing.T) {
 		t.Fatalf("window = %d, want 64", h.Window)
 	}
 	// Oversized GPU window must be rejected.
-	if _, err := Compress(input, Params{Version: Version2, Window: 1024}); err == nil {
+	if _, _, err := Compress(input, "v2", Params{Window: 1024}); err == nil {
 		t.Fatal("accepted window 1024 on GPU version")
 	}
 	// CPU serial accepts large windows.
-	comp, err = Compress(input, Params{Version: VersionSerial, Window: 8192})
+	comp, _, err = Compress(input, "cpu", Params{Window: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,42 +162,15 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 }
 
 func TestCompressRejectsUnknownVersion(t *testing.T) {
-	if _, err := Compress([]byte("x"), Params{Version: Version(42)}); err == nil {
-		t.Fatal("accepted unknown version")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "in.dat")
-	cz := filepath.Join(dir, "in.dat.clz")
-	back := filepath.Join(dir, "out.dat")
-	input := genText(48<<10, 9)
-	if err := os.WriteFile(src, input, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompressFile(src, cz, Params{Version: Version2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecompressFile(cz, back, Params{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, input) {
-		t.Fatal("file round trip mismatch")
-	}
-	if err := CompressFile(filepath.Join(dir, "missing"), cz, Params{}); err == nil {
-		t.Fatal("compressed a missing file")
+	if _, _, err := Compress([]byte("x"), "v42", Params{}); err == nil {
+		t.Fatal("accepted unknown codec name")
 	}
 }
 
 func TestStreamingAdapters(t *testing.T) {
 	input := genText(64<<10, 10)
 	var netBuf bytes.Buffer
-	w := NewWriter(&netBuf, Params{Version: Version1})
+	w := NewWriterOptions(&netBuf, Params{}, StreamOptions{Codec: "v1"})
 	half := len(input) / 2
 	if _, err := w.Write(input[:half]); err != nil {
 		t.Fatal(err)
@@ -233,10 +205,9 @@ func TestStreamingAdapters(t *testing.T) {
 }
 
 func TestQuickRoundTripAllVersions(t *testing.T) {
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel} {
-		v := v
+	for _, name := range []string{"v1", "v2", "cpu", "pthread"} {
 		f := func(data []byte) bool {
-			comp, err := Compress(data, Params{Version: v})
+			comp, _, err := Compress(data, name, Params{})
 			if err != nil {
 				return false
 			}
@@ -244,7 +215,7 @@ func TestQuickRoundTripAllVersions(t *testing.T) {
 			return err == nil && bytes.Equal(got, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Fatalf("%v: %v", v, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

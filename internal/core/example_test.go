@@ -13,7 +13,7 @@ import (
 func ExampleCompress() {
 	payload := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 200))
 
-	container, err := core.Compress(payload, core.Params{Version: core.Version1})
+	container, _, err := core.Compress(payload, "v1", core.Params{})
 	if err != nil {
 		panic(err)
 	}
@@ -28,20 +28,11 @@ func ExampleCompress() {
 	// compressed smaller: true
 }
 
-// Version selection follows the paper's §V guidance: V1 for highly
-// compressible data, V2 otherwise.
-func ExampleSelectVersion() {
-	repetitive := bytes.Repeat([]byte("abcdefghijklmnopqrst"), 2000)
-	fmt.Println(core.SelectVersion(repetitive))
-	// Output:
-	// culzss-v1
-}
-
 // The streaming adapters wrap the buffer API for io pipelines.
 func ExampleNewWriter() {
 	var network bytes.Buffer
 
-	w := core.NewWriter(&network, core.Params{Version: core.Version2})
+	w := core.NewWriter(&network, core.Params{})
 	fmt.Fprint(w, strings.Repeat("sensor reading 42.0; ", 500))
 	if err := w.Close(); err != nil {
 		panic(err)

@@ -65,8 +65,8 @@ func readAll(t *testing.T, stream []byte, o ReaderOptions) ([]byte, *Reader) {
 func TestWriterRetriesTransientLaunchFaults(t *testing.T) {
 	data := datasets.CFiles(64<<10, 11)
 	inj := faults.New(testSeed(7)).FailFirst(faults.SiteLaunch, 2)
-	p := Params{Version: Version1, HostWorkers: 1, Injector: inj}
-	o := StreamOptions{SegmentSize: 16 << 10, Retry: fastRetry()}
+	p := Params{HostWorkers: 1, Injector: inj}
+	o := StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: fastRetry()}
 
 	stream, ws := streamWith(t, data, p, o)
 	if ws.Segments != 4 {
@@ -95,15 +95,15 @@ func TestWriterRetriesTransientLaunchFaults(t *testing.T) {
 
 func TestWriterDegradesPersistentFaultsBitIdentically(t *testing.T) {
 	data := datasets.CFiles(64<<10, 11)
-	o := StreamOptions{SegmentSize: 16 << 10, Retry: fastRetry()}
+	o := StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: fastRetry()}
 
-	clean, ws := streamWith(t, data, Params{Version: Version1, HostWorkers: 1}, o)
+	clean, ws := streamWith(t, data, Params{HostWorkers: 1}, o)
 	if ws.Degraded != 0 || ws.Retries != 0 {
 		t.Fatalf("clean run recorded faults: %+v", ws)
 	}
 
 	inj := faults.New(testSeed(7)).Always(faults.SiteLaunch)
-	faulty, ws := streamWith(t, data, Params{Version: Version1, HostWorkers: 1, Injector: inj}, o)
+	faulty, ws := streamWith(t, data, Params{HostWorkers: 1, Injector: inj}, o)
 	if ws.Degraded != ws.Segments || ws.Segments != 4 {
 		t.Fatalf("stats = %+v, want all 4 segments degraded", ws)
 	}
@@ -128,8 +128,8 @@ func TestWriterDisableFallbackFailsStream(t *testing.T) {
 	pol := fastRetry()
 	pol.DisableFallback = true
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 1, Injector: inj},
-		StreamOptions{SegmentSize: 16 << 10, Retry: pol})
+	w := NewWriterOptions(&buf, Params{HostWorkers: 1, Injector: inj},
+		StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: pol})
 	_, werr := w.Write(data)
 	cerr := w.Close()
 	if werr == nil && cerr == nil {
@@ -149,8 +149,8 @@ func TestWriterDisableFallbackFailsStream(t *testing.T) {
 func TestSalvageRecoversAllButDamagedSegment(t *testing.T) {
 	data := datasets.CFiles(64<<10, 11)
 	const segSize = 16 << 10
-	stream, _ := streamWith(t, data, Params{Version: VersionSerial, HostWorkers: 1},
-		StreamOptions{SegmentSize: segSize})
+	stream, _ := streamWith(t, data, Params{HostWorkers: 1},
+		StreamOptions{Codec: "cpu", SegmentSize: segSize})
 	damaged := append([]byte{}, stream...)
 	damaged[len(damaged)/2] ^= 0x20 // inside some segment's container
 
@@ -207,8 +207,8 @@ func TestSalvageRecoversAllButDamagedSegment(t *testing.T) {
 func TestSalvageSurvivesFrameBitFlips(t *testing.T) {
 	data := datasets.CFiles(128<<10, 11)
 	const segSize = 8 << 10
-	stream, _ := streamWith(t, data, Params{Version: VersionSerial, HostWorkers: 1},
-		StreamOptions{SegmentSize: segSize})
+	stream, _ := streamWith(t, data, Params{HostWorkers: 1},
+		StreamOptions{Codec: "cpu", SegmentSize: segSize})
 
 	// Cut the plaintext the way the Writer did, for the subsequence check.
 	var segments [][]byte
@@ -267,8 +267,8 @@ func TestWriterHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial},
-		StreamOptions{SegmentSize: 4 << 10, Context: ctx})
+	w := NewWriterOptions(&buf, Params{},
+		StreamOptions{Codec: "cpu", SegmentSize: 4 << 10, Context: ctx})
 	if _, err := w.Write(datasets.CFiles(16<<10, 3)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write under cancelled context: %v", err)
 	}
@@ -276,8 +276,8 @@ func TestWriterHonoursCancelledContext(t *testing.T) {
 
 func TestReaderHonoursCancelledContext(t *testing.T) {
 	data := datasets.CFiles(16<<10, 3)
-	stream, _ := streamWith(t, data, Params{Version: VersionSerial},
-		StreamOptions{SegmentSize: 4 << 10})
+	stream, _ := streamWith(t, data, Params{},
+		StreamOptions{Codec: "cpu", SegmentSize: 4 << 10})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r, err := NewReaderOptions(bytes.NewReader(stream), Params{}, ReaderOptions{Context: ctx})
@@ -296,8 +296,8 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	data := datasets.DEMap(64<<10, 11)
 	run := func() ([]byte, WriterStats, faults.Counts) {
 		inj := faults.New(testSeed(7)).FailEvery(faults.SiteLaunch, 3)
-		p := Params{Version: Version1, HostWorkers: 1, Injector: inj}
-		stream, ws := streamWith(t, data, p, StreamOptions{SegmentSize: 16 << 10, Retry: fastRetry()})
+		p := Params{HostWorkers: 1, Injector: inj}
+		stream, ws := streamWith(t, data, p, StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: fastRetry()})
 		return stream, ws, inj.Counts(faults.SiteLaunch)
 	}
 	s1, ws1, c1 := run()

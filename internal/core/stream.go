@@ -145,11 +145,6 @@ type StreamOptions struct {
 	// larger segments improve ratio (more window context) and shrink
 	// framing overhead.
 	SegmentSize int
-	// GPUStreams, when > 1 and the version resolves to the V1 GPU kernel,
-	// compresses each segment through the pipelined copy/execute scheduler
-	// (gpu.CompressV1Streamed) with this many CUDA streams, overlapping
-	// H2D copies with kernel execution in the simulated schedule.
-	GPUStreams int
 	// Retry bounds the per-segment retry/degrade policy for the GPU
 	// versions. The zero value means up to 3 attempts with 1ms..50ms
 	// jittered exponential backoff, then CPU fallback.
@@ -197,12 +192,12 @@ type StreamOptions struct {
 	// reports the context's error.
 	DrainOnCancel bool
 	// Codec selects the segment engine by registry name ("v1", "v2",
-	// "cpu", "pthread", "bzip2", "raw"), or codec.Auto for the adaptive
-	// per-segment selector (a cheap sample probe picks V2, V1, or
-	// raw-store segment by segment). Each segment's choice is recorded in
-	// its embedded container's codec byte — the frame layer carries no
-	// extra state, so any Reader dispatches per frame. "" keeps the legacy
-	// routing through Params.Version, byte-identical to previous releases.
+	// "cpu", "pthread", "bzip2", "raw"), or codec.Auto (also the meaning
+	// of "") for the adaptive per-segment selector (a cheap sample probe
+	// picks V1, V2, or raw-store segment by segment). Each segment's
+	// choice is recorded in its embedded container's codec byte — the
+	// frame layer carries no extra state, so any Reader dispatches per
+	// frame.
 	Codec string
 	// OnSegment, when non-nil, observes every emitted segment frame in
 	// stream order from the emitter goroutine — the Writer-side mirror of
@@ -693,43 +688,9 @@ func (w *Writer) release(job *segJob) {
 	job.data = nil
 }
 
-// segmentEngine resolves the engine one segment compresses with:
-// StreamOptions.Codec by registry name (codec.Auto probes the segment),
-// "" through the legacy Params.Version routing — byte-identical to
-// previous releases, including VersionAuto's V1/V2-only sampling.
-func (w *Writer) segmentEngine(data []byte) (codec.Engine, error) {
-	if name := w.opts.Codec; name != "" {
-		return resolveEngine(name, data)
-	}
-	v := w.params.Version
-	if v == VersionAuto {
-		v = SelectVersion(data)
-	}
-	var name string
-	switch v {
-	case Version1:
-		name = "v1"
-	case Version2:
-		name = "v2"
-	case VersionSerial:
-		name = "cpu"
-	case VersionParallel:
-		name = "pthread"
-	case VersionBZip2:
-		name = "bzip2"
-	default:
-		return nil, fmt.Errorf("core: unknown version %v", v)
-	}
-	eng, ok := codec.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %q not registered", name)
-	}
-	return eng, nil
-}
-
 // compressSegment compresses segment index with the Writer's parameters,
-// resolving the segment's engine via segmentEngine (so a stream may mix
-// codecs frame by frame under the adaptive selector).
+// resolving the segment's engine from StreamOptions.Codec (so a stream
+// may mix codecs frame by frame under the adaptive selector).
 //
 // Accelerated engines run under the retry policy: a failed attempt is
 // retried after a jittered exponential backoff, and a segment that still
@@ -750,7 +711,7 @@ func (w *Writer) compressSegment(index int, data []byte) segResult {
 		p.Stats = local
 	}
 
-	eng, err := w.segmentEngine(data)
+	eng, err := resolveEngine(w.opts.Codec, data)
 	if err != nil {
 		return segResult{err: err}
 	}
@@ -806,14 +767,6 @@ func (w *Writer) compressSegment(index int, data []byte) segResult {
 		rep = nil
 		aopts := opts
 		aopts.Context = segCtx
-		if w.opts.GPUStreams > 1 && eng.Codec() == format.CodecCULZSSV1 {
-			// The slice scheduler consults opts.Health internally. It is
-			// V1-specific (its copy/execute schedule models the
-			// chunk-per-thread kernel), so other codecs take the plain path.
-			out, r, err := gpu.CompressV1Streamed(data, aopts, w.opts.GPUStreams)
-			rep = r
-			return out, err
-		}
 		if p.Health != nil {
 			out, r, degraded, err := gpu.CompressSupervised(
 				eng, data, aopts, index%p.Health.Devices(), fmt.Sprintf("segment %d", index))

@@ -11,6 +11,7 @@ import (
 	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
 	"culzss/internal/faults"
+	"culzss/internal/gpu"
 	"culzss/internal/health"
 )
 
@@ -69,10 +70,10 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 	// complete byte-identical to the healthy single-device stream, with
 	// the supervisor's counters visible through Stats.
 	input := datasets.CFiles(300<<10, 51)
-	so := StreamOptions{SegmentSize: 64 << 10}
+	so := StreamOptions{Codec: "v1", SegmentSize: 64 << 10}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 	}, health.Policy{Threshold: 1, OpenFor: 50 * time.Millisecond, Deadline: 2 * time.Second})
 
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -127,10 +128,10 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 
 func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 	input := datasets.CFiles(150<<10, 52)
-	so := StreamOptions{SegmentSize: 64 << 10, Retry: RetryPolicy{MaxAttempts: 1}}
+	so := StreamOptions{Codec: "v1", SegmentSize: 64 << 10, Retry: RetryPolicy{MaxAttempts: 1}}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 
 	sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour})
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -152,26 +153,40 @@ func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 	}
 }
 
+// TestCompressOneShotSupervisedDegrade: a one-shot call on either GPU
+// codec rides the supervised pool; with every device dead it opens each
+// breaker and degrades to the codec's byte-identical host twin.
 func TestCompressOneShotSupervisedDegrade(t *testing.T) {
 	input := datasets.DEMap(64<<10, 53)
-	want, err := Compress(input, Params{Version: Version1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, err := CompressWithReport(input, Params{Version: Version1, Health: sup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep != nil {
-		t.Fatal("degraded one-shot call returned a device report")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("supervised one-shot container differs from plain V1")
-	}
-	out, err := Decompress(got, Params{})
-	if err != nil || !bytes.Equal(out, input) {
-		t.Fatalf("round trip: %v", err)
+	for _, tc := range []struct {
+		name string
+		twin func([]byte, gpu.Options) ([]byte, error)
+	}{
+		{"v1", gpu.CompressV1CPU},
+		{"v2", gpu.CompressV2CPU},
+	} {
+		want, err := tc.twin(input, gpu.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour})
+		got, rep, err := Compress(input, tc.name, Params{Health: sup})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep != nil {
+			t.Fatalf("%s: degraded one-shot call returned a device report", tc.name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: supervised one-shot container differs from the host twin", tc.name)
+		}
+		if opens := sup.Snapshot().BreakerOpens; opens != 2 {
+			t.Fatalf("%s: pool recorded %d breaker opens, want 2", tc.name, opens)
+		}
+		out, err := Decompress(got, Params{})
+		if err != nil || !bytes.Equal(out, input) {
+			t.Fatalf("%s: round trip: %v", tc.name, err)
+		}
 	}
 }
 
@@ -181,8 +196,8 @@ func TestWriterAdmissionBound(t *testing.T) {
 	input := datasets.HighlyCompressible(2<<20, 54)
 	const seg = 64 << 10
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial, HostWorkers: 8},
-		StreamOptions{SegmentSize: seg, MaxInFlight: 2})
+	w := NewWriterOptions(&buf, Params{HostWorkers: 8},
+		StreamOptions{Codec: "cpu", SegmentSize: seg, MaxInFlight: 2})
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -208,8 +223,9 @@ func TestWriterSegmentDeadlineDegrades(t *testing.T) {
 	input := datasets.CFiles(100<<10, 55)
 	var buf bytes.Buffer
 	start := time.Now()
-	w := NewWriterOptions(&buf, Params{Version: Version1, Device: hangDevice(testSeed(7)), HostWorkers: 2},
+	w := NewWriterOptions(&buf, Params{Device: hangDevice(testSeed(7)), HostWorkers: 2},
 		StreamOptions{
+			Codec:           "v1",
 			SegmentSize:     64 << 10,
 			SegmentDeadline: 100 * time.Millisecond,
 			Retry:           RetryPolicy{MaxAttempts: 2},
@@ -239,7 +255,8 @@ func TestWriterDrainOnCancelEmitsValidTrailer(t *testing.T) {
 	const seg = 64 << 10
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2}, StreamOptions{
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2}, StreamOptions{
+		Codec:         "v1",
 		SegmentSize:   seg,
 		Context:       ctx,
 		DrainOnCancel: true,
@@ -266,7 +283,8 @@ func TestWriterDrainFinishesInFlightUnderDeadDevice(t *testing.T) {
 	input := datasets.CFiles(130<<10, 57)
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, Device: deadDevice(), HostWorkers: 2}, StreamOptions{
+	w := NewWriterOptions(&buf, Params{Device: deadDevice(), HostWorkers: 2}, StreamOptions{
+		Codec:         "v1",
 		SegmentSize:   64 << 10,
 		Context:       ctx,
 		DrainOnCancel: true,
@@ -291,7 +309,7 @@ func TestWriterDefaultCancelStillFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1}, StreamOptions{Context: ctx})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "v1", Context: ctx})
 	if _, err := w.Write([]byte("data")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write err = %v, want context.Canceled", err)
 	}
@@ -307,10 +325,10 @@ func TestWriterChaosSoak(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	input := datasets.KernelTarball(400<<10, 58)
-	so := StreamOptions{SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	so := StreamOptions{Codec: "v1", SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -329,7 +347,7 @@ func TestWriterChaosSoak(t *testing.T) {
 
 	start := time.Now()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 3, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 3, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestWriterMetricsReconcileUnderChaos(t *testing.T) {
 	// sibling — retries, redispatches, watchdog timeouts, breaker opens,
 	// and (with MaxAttempts 2) possible degrades all occur.
 	input := datasets.KernelTarball(200<<10, 58)
-	so := StreamOptions{SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	so := StreamOptions{Codec: "v1", SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
 
 	flaky := cudasim.FermiGTX480()
 	flaky.LaunchHook = faults.New(testSeed(7)).FailProb(faults.SiteLaunch, 0.4).LaunchHook()
@@ -51,7 +51,7 @@ func TestWriterMetricsReconcileUnderChaos(t *testing.T) {
 	}, health.Policy{Threshold: 2, OpenFor: 30 * time.Millisecond, Deadline: 300 * time.Millisecond, Obs: reg})
 
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 3, Health: sup, Obs: reg}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 3, Health: sup, Obs: reg}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestWriterStatsMatchSupervisorSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour, Obs: reg})
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2, Health: sup, Obs: reg},
-		StreamOptions{SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 1}})
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2, Health: sup, Obs: reg},
+		StreamOptions{Codec: "v1", SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 1}})
 	writeAll(t, w, datasets.CFiles(100<<10, 59))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -133,8 +133,8 @@ func TestWriterStatsMatchSupervisorSnapshot(t *testing.T) {
 
 func TestReaderMetricsReconcile(t *testing.T) {
 	input := datasets.CFiles(150<<10, 60)
-	stream, ws := streamWith(t, input, Params{Version: VersionSerial, HostWorkers: 2},
-		StreamOptions{SegmentSize: 16 << 10})
+	stream, ws := streamWith(t, input, Params{HostWorkers: 2},
+		StreamOptions{Codec: "cpu", SegmentSize: 16 << 10})
 
 	reg := obs.NewRegistry()
 	r, err := NewReaderOptions(bytes.NewReader(stream), Params{Obs: reg}, ReaderOptions{})
@@ -170,8 +170,8 @@ var obsLabelKindSegment = []obs.Label{obs.L("kind", "segment")}
 
 func TestReaderSalvageMetrics(t *testing.T) {
 	input := datasets.CFiles(64<<10, 61)
-	stream, _ := streamWith(t, input, Params{Version: VersionSerial, HostWorkers: 1},
-		StreamOptions{SegmentSize: 16 << 10})
+	stream, _ := streamWith(t, input, Params{HostWorkers: 1},
+		StreamOptions{Codec: "cpu", SegmentSize: 16 << 10})
 	damaged := append([]byte{}, stream...)
 	damaged[len(damaged)/2] ^= 0x20
 
@@ -250,8 +250,8 @@ func TestConcurrentScrapeWhileCompressing(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 3, Health: sup, Obs: reg},
-		StreamOptions{SegmentSize: 16 << 10})
+	w := NewWriterOptions(&buf, Params{HostWorkers: 3, Health: sup, Obs: reg},
+		StreamOptions{Codec: "v1", SegmentSize: 16 << 10})
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -274,12 +274,12 @@ func TestConcurrentScrapeWhileCompressing(t *testing.T) {
 // pipeline.
 func TestWriterObsDisabledUnchanged(t *testing.T) {
 	input := datasets.CFiles(100<<10, 63)
-	so := StreamOptions{SegmentSize: 32 << 10}
+	so := StreamOptions{Codec: "v1", SegmentSize: 32 << 10}
 
-	plain, plainStats := streamWith(t, input, Params{Version: Version1, HostWorkers: 2}, so)
+	plain, plainStats := streamWith(t, input, Params{HostWorkers: 2}, so)
 
 	reg := obs.NewRegistry()
-	observed, obsStats := streamWith(t, input, Params{Version: Version1, HostWorkers: 2, Obs: reg}, so)
+	observed, obsStats := streamWith(t, input, Params{HostWorkers: 2, Obs: reg}, so)
 
 	if !bytes.Equal(plain, observed) {
 		t.Fatal("observed stream differs from unobserved stream")

@@ -28,8 +28,8 @@ const pplSeg = 8 << 10
 func writeParallelStream(t testing.TB, input []byte, segSize int, parity ParityConfig) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version2},
-		StreamOptions{SegmentSize: segSize, Parity: parity})
+	w := NewWriterOptions(&buf, Params{},
+		StreamOptions{Codec: "v2", SegmentSize: segSize, Parity: parity})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestParallelReaderMaxInFlightBound(t *testing.T) {
 // TestReaderBareContainerCap: the legacy (non-framed) path buffers its
 // input whole, so it must be bounded and fail typed, not OOM-shaped.
 func TestReaderBareContainerCap(t *testing.T) {
-	container, err := Compress(datasets.CFiles(64<<10, 11), Params{Version: Version2})
+	container, _, err := Compress(datasets.CFiles(64<<10, 11), "v2", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

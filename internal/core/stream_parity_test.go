@@ -22,8 +22,8 @@ func parityInput() []byte {
 func writeParityStream(t *testing.T, input []byte, k, m int) ([]byte, WriterStats) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version2},
-		StreamOptions{SegmentSize: parSeg, Parity: ParityConfig{K: k, M: m}})
+	w := NewWriterOptions(&buf, Params{},
+		StreamOptions{Codec: "v2", SegmentSize: parSeg, Parity: ParityConfig{K: k, M: m}})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStreamParityZeroConfigBytesUnchanged(t *testing.T) {
 	input := datasets.Dictionary(3*parSeg, 5)
 	frame := func(o StreamOptions) []byte {
 		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, Params{Version: Version2}, o)
+		w := NewWriterOptions(&buf, Params{}, o)
 		if _, err := w.Write(input); err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +146,8 @@ func TestStreamParityZeroConfigBytesUnchanged(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	plain := frame(StreamOptions{SegmentSize: parSeg})
-	zero := frame(StreamOptions{SegmentSize: parSeg, Parity: ParityConfig{}})
+	plain := frame(StreamOptions{Codec: "v2", SegmentSize: parSeg})
+	zero := frame(StreamOptions{Codec: "v2", SegmentSize: parSeg, Parity: ParityConfig{}})
 	if !bytes.Equal(plain, zero) {
 		t.Fatal("zero ParityConfig changed the stream bytes")
 	}
@@ -162,8 +162,8 @@ func TestStreamParityConfigValidation(t *testing.T) {
 		{K: 4, M: format.MaxParityM + 1},
 	} {
 		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, Params{Version: Version2},
-			StreamOptions{SegmentSize: parSeg, Parity: c})
+		w := NewWriterOptions(&buf, Params{},
+			StreamOptions{Codec: "v2", SegmentSize: parSeg, Parity: c})
 		if _, err := w.Write([]byte("x")); err == nil {
 			t.Fatalf("config %+v accepted", c)
 		}
@@ -262,7 +262,8 @@ func TestStreamParityResumeByteEquivalent(t *testing.T) {
 
 	var buf bytes.Buffer
 	buf.Write(full[:cut])
-	w := NewWriterOptions(&buf, Params{Version: Version2}, StreamOptions{
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{
+		Codec:       "v2",
 		SegmentSize: parSeg,
 		Parity:      ParityConfig{K: 4, M: 2},
 		Resume: &ResumeState{

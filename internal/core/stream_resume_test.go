@@ -58,10 +58,10 @@ func (c *countingStreamReader) ReadByte() (byte, error) {
 func TestWriterResumeByteIdentical(t *testing.T) {
 	const segSize = 16 << 10
 	input := datasets.CFiles(100<<10, 17) // 7 segments, last partial
-	p := Params{Version: Version1, HostWorkers: 2}
+	p := Params{HostWorkers: 2}
 
 	var ref bytes.Buffer
-	w := NewWriterOptions(&ref, p, StreamOptions{SegmentSize: segSize})
+	w := NewWriterOptions(&ref, p, StreamOptions{Codec: "v1", SegmentSize: segSize})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +79,7 @@ func TestWriterResumeByteIdentical(t *testing.T) {
 		var out bytes.Buffer
 		out.Write(ref.Bytes()[:cut])
 		rw := NewWriterOptions(&out, p, StreamOptions{
+			Codec:       "v1",
 			SegmentSize: segSize,
 			Resume: &ResumeState{
 				NextIndex: k,
@@ -117,7 +118,7 @@ func TestWriterResumeByteIdentical(t *testing.T) {
 
 func TestWriterResumeStatsFresh(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1}, StreamOptions{SegmentSize: 8 << 10})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "v1", SegmentSize: 8 << 10})
 	if _, err := w.Write(datasets.CFiles(20<<10, 3)); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"culzss/internal/codec"
 	"culzss/internal/datasets"
 	"culzss/internal/lzss"
 )
@@ -17,10 +18,10 @@ import (
 
 func TestFramedStreamRoundTripVersions(t *testing.T) {
 	input := datasets.KernelTarball(300<<10, 11) // > 4 segments at 64 KiB
-	for _, v := range []Version{VersionAuto, Version1, Version2, VersionSerial, VersionParallel, VersionBZip2} {
-		t.Run(v.String(), func(t *testing.T) {
+	for _, c := range append([]labelledCodec{{codec.Auto, codec.Auto}}, labelledCodecs...) {
+		t.Run(c.label, func(t *testing.T) {
 			var buf bytes.Buffer
-			w := NewWriterOptions(&buf, Params{Version: v}, StreamOptions{SegmentSize: 64 << 10})
+			w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: c.name, SegmentSize: 64 << 10})
 			// Dribble in odd-sized writes to exercise segment cutting.
 			for off := 0; off < len(input); {
 				n := 7777
@@ -59,7 +60,7 @@ func TestFramedStreamSegmentBoundarySizes(t *testing.T) {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			input := datasets.CFiles(n, int64(n)+1)
 			var buf bytes.Buffer
-			w := NewWriterOptions(&buf, Params{Version: Version1}, StreamOptions{SegmentSize: seg})
+			w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "v1", SegmentSize: seg})
 			if _, err := w.Write(input); err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +86,7 @@ func TestFramedStreamDeterministic(t *testing.T) {
 	input := datasets.Dictionary(200<<10, 3)
 	frame := func() []byte {
 		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, Params{Version: Version2, HostWorkers: 4}, StreamOptions{SegmentSize: 32 << 10})
+		w := NewWriterOptions(&buf, Params{HostWorkers: 4}, StreamOptions{Codec: "v2", SegmentSize: 32 << 10})
 		if _, err := w.Write(input); err != nil {
 			t.Fatal(err)
 		}
@@ -99,36 +100,12 @@ func TestFramedStreamDeterministic(t *testing.T) {
 	}
 }
 
-func TestFramedStreamGPUStreams(t *testing.T) {
-	input := datasets.KernelTarball(128<<10, 9)
-	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1},
-		StreamOptions{SegmentSize: 32 << 10, GPUStreams: 4})
-	if _, err := w.Write(input); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, input) {
-		t.Fatal("GPU-streams framed round trip mismatch")
-	}
-}
-
 func TestFramedStreamStatsMerge(t *testing.T) {
 	var st lzss.SearchStats
 	input := datasets.CFiles(100<<10, 4)
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial, Stats: &st, HostWorkers: 4},
-		StreamOptions{SegmentSize: 16 << 10})
+	w := NewWriterOptions(&buf, Params{Stats: &st, HostWorkers: 4},
+		StreamOptions{Codec: "cpu", SegmentSize: 16 << 10})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +143,7 @@ func TestWriterCloseEmptyInput(t *testing.T) {
 
 func TestWriterDoubleCloseIsNoop(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, Params{Version: VersionSerial})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "cpu"})
 	if _, err := io.WriteString(w, "some plaintext for the stream"); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +191,7 @@ func TestWriterUnderlyingErrorPaths(t *testing.T) {
 
 	// Header write fails immediately.
 	t.Run("header", func(t *testing.T) {
-		w := NewWriter(&failingWriter{budget: 0, err: sentinel}, Params{Version: VersionSerial})
+		w := NewWriterOptions(&failingWriter{budget: 0, err: sentinel}, Params{}, StreamOptions{Codec: "cpu"})
 		_, werr := w.Write(input)
 		cerr := w.Close()
 		if !errors.Is(werr, sentinel) && !errors.Is(cerr, sentinel) {
@@ -229,7 +206,7 @@ func TestWriterUnderlyingErrorPaths(t *testing.T) {
 	// not deadlock against a full pipeline.
 	t.Run("mid-stream", func(t *testing.T) {
 		w := NewWriterOptions(&failingWriter{budget: 100, err: sentinel},
-			Params{Version: VersionSerial, HostWorkers: 2}, StreamOptions{SegmentSize: 4 << 10})
+			Params{HostWorkers: 2}, StreamOptions{Codec: "cpu", SegmentSize: 4 << 10})
 		var werr error
 		for i := 0; i < 64 && werr == nil; i++ {
 			_, werr = w.Write(input[:4<<10])
@@ -243,14 +220,14 @@ func TestWriterUnderlyingErrorPaths(t *testing.T) {
 	// Trailer write fails (budget covers header + frames, trailer tips it).
 	t.Run("trailer", func(t *testing.T) {
 		var probe bytes.Buffer
-		w := NewWriter(&probe, Params{Version: VersionSerial})
+		w := NewWriterOptions(&probe, Params{}, StreamOptions{Codec: "cpu"})
 		if _, err := w.Write(input[:1024]); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w2 := NewWriter(&failingWriter{budget: probe.Len() - 1, err: sentinel}, Params{Version: VersionSerial})
+		w2 := NewWriterOptions(&failingWriter{budget: probe.Len() - 1, err: sentinel}, Params{}, StreamOptions{Codec: "cpu"})
 		if _, err := w2.Write(input[:1024]); err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +242,8 @@ func TestWriterUnderlyingErrorPaths(t *testing.T) {
 func TestWriterCompressionErrorMidStream(t *testing.T) {
 	var buf bytes.Buffer
 	// Window 1024 is invalid for the GPU kernels: every segment fails.
-	w := NewWriterOptions(&buf, Params{Version: Version1, Window: 1024, HostWorkers: 2},
-		StreamOptions{SegmentSize: 4 << 10})
+	w := NewWriterOptions(&buf, Params{Window: 1024, HostWorkers: 2},
+		StreamOptions{Codec: "v1", SegmentSize: 4 << 10})
 	input := datasets.CFiles(64<<10, 6)
 	var werr error
 	for i := 0; i < 16 && werr == nil; i++ {
@@ -282,7 +259,7 @@ func TestWriterCompressionErrorMidStream(t *testing.T) {
 
 func TestReaderLegacyContainerStillOpens(t *testing.T) {
 	input := datasets.Dictionary(48<<10, 7)
-	container, err := Compress(input, Params{Version: Version2})
+	container, _, err := Compress(input, "v2", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +279,7 @@ func TestReaderLegacyContainerStillOpens(t *testing.T) {
 func TestReaderRejectsCorruptFrame(t *testing.T) {
 	input := datasets.CFiles(40<<10, 8)
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial}, StreamOptions{SegmentSize: 8 << 10})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "cpu", SegmentSize: 8 << 10})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +317,7 @@ func drainStream(stream []byte) ([]byte, error) {
 func TestReaderLenFramed(t *testing.T) {
 	input := []byte(strings.Repeat("len probe ", 1000))
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial}, StreamOptions{SegmentSize: 4 << 10})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "cpu", SegmentSize: 4 << 10})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +378,8 @@ func TestWriterBoundedMemory64MiB(t *testing.T) {
 		workers  = 4
 	)
 	var framed bytes.Buffer
-	w := NewWriterOptions(&framed, Params{Version: Version1, HostWorkers: workers},
-		StreamOptions{SegmentSize: segSize})
+	w := NewWriterOptions(&framed, Params{HostWorkers: workers},
+		StreamOptions{Codec: "v1", SegmentSize: segSize})
 	if _, err := io.Copy(w, &patternSource{remaining: totalLen}); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +442,7 @@ func TestConcurrentFramedWriters(t *testing.T) {
 		datasets.HighlyCompressible(64<<10, 23),
 		datasets.Dictionary(64<<10, 24),
 	}
-	versions := []Version{Version1, Version2, VersionSerial, VersionParallel, VersionAuto}
+	names := []string{"v1", "v2", "cpu", "pthread", codec.Auto}
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for g := 0; g < 12; g++ {
@@ -474,8 +451,8 @@ func TestConcurrentFramedWriters(t *testing.T) {
 			defer wg.Done()
 			input := inputs[g%len(inputs)]
 			var buf bytes.Buffer
-			w := NewWriterOptions(&buf, Params{Version: versions[g%len(versions)], HostWorkers: 2},
-				StreamOptions{SegmentSize: 16 << 10})
+			w := NewWriterOptions(&buf, Params{HostWorkers: 2},
+				StreamOptions{Codec: names[g%len(names)], SegmentSize: 16 << 10})
 			if _, err := w.Write(input); err != nil {
 				errs <- err
 				return
@@ -507,7 +484,7 @@ func TestWriterTeardownAfterError(t *testing.T) {
 	input := datasets.CFiles(32<<10, 25)
 	for trial := 0; trial < 8; trial++ {
 		w := NewWriterOptions(&failingWriter{budget: 50 * trial, err: errors.New("boom")},
-			Params{Version: VersionSerial, HostWorkers: 3}, StreamOptions{SegmentSize: 2 << 10})
+			Params{HostWorkers: 3}, StreamOptions{Codec: "cpu", SegmentSize: 2 << 10})
 		for i := 0; i < 16; i++ {
 			if _, err := w.Write(input[i*2<<10 : (i+1)*2<<10]); err != nil {
 				break

@@ -20,7 +20,7 @@ import (
 func TestCrashMatrix(t *testing.T) {
 	const segSize = 8 << 10
 	input := datasets.CFiles(48<<10, 77) // 6 full segments
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, segSize)
 	bounds := boundaries(t, ref)
 
@@ -49,7 +49,7 @@ func TestCrashMatrix(t *testing.T) {
 		}
 		// The segment size in Options only matters for headerless
 		// restarts; header-bearing partials override it from the header.
-		w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{SegmentSize: segSize}})
+		w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: segSize}})
 		if err != nil {
 			t.Fatalf("cut %d: Resume: %v", cut, err)
 		}
@@ -85,7 +85,7 @@ func TestCrashMatrix(t *testing.T) {
 func TestCrashMatrixInjectedTornWrites(t *testing.T) {
 	const segSize = 8 << 10
 	input := datasets.CFiles(48<<10, 77)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, segSize)
 
 	cases := []struct {
@@ -104,7 +104,7 @@ func TestCrashMatrixInjectedTornWrites(t *testing.T) {
 			path := filepath.Join(dir, "out.clzs")
 			pi := p
 			pi.Injector = tc.arm(faults.New(7))
-			w, err := Create(path, pi, Options{Stream: core.StreamOptions{SegmentSize: segSize}})
+			w, err := Create(path, pi, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: segSize}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestCrashMatrixInjectedTornWrites(t *testing.T) {
 				t.Fatal("final path appeared despite the crash")
 			}
 
-			rw, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{SegmentSize: segSize}})
+			rw, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: segSize}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestCrashMatrixInjectedTornWrites(t *testing.T) {
 func TestDoubleCrashResume(t *testing.T) {
 	const segSize = 8 << 10
 	input := datasets.CFiles(48<<10, 77)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, segSize)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
@@ -156,7 +156,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	// Crash 1: torn write a third of the way in.
 	p1 := p
 	p1.Injector = faults.New(7).TornWriteAt(int64(len(ref)) / 3)
-	w, err := Create(path, p1, Options{Stream: core.StreamOptions{SegmentSize: segSize}})
+	w, err := Create(path, p1, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: segSize}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	// count from the resume point).
 	p2 := p
 	p2.Injector = faults.New(7).TornWriteAt(int64(len(ref)) / 3)
-	rw, rep, err := Resume(path, p2, Options{})
+	rw, rep, err := Resume(path, p2, Options{Stream: core.StreamOptions{Codec: "v1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDoubleCrashResume(t *testing.T) {
 	_ = rw.Close()
 
 	// Final resume with a healthy environment.
-	rw2, rep2, err := Resume(path, p, Options{})
+	rw2, rep2, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 // refStream compresses input through a plain core.Writer with the same
 // parameters a durable writer would use — the uninterrupted reference
 // every crash test compares against (compression is deterministic for a
-// fixed version and segment size).
+// fixed codec and segment size).
 func refStream(t *testing.T, input []byte, p core.Params, segSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := core.NewWriterOptions(&buf, p, core.StreamOptions{SegmentSize: segSize})
+	w := core.NewWriterOptions(&buf, p, core.StreamOptions{Codec: "v1", SegmentSize: segSize})
 	if _, err := w.Write(input); err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func TestCreateCloseRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	input := datasets.CFiles(40<<10, 31)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 
-	w, err := Create(path, p, Options{Stream: core.StreamOptions{SegmentSize: 8 << 10}})
+	w, err := Create(path, p, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: 8 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestCommitCadenceSyncsAtConfiguredBoundaries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	in := faults.New(7)
-	p := core.Params{Version: core.Version1, Injector: in}
+	p := core.Params{Injector: in}
 
 	w, err := Create(path, p, Options{
 		CommitEverySegments: 2,
-		Stream:              core.StreamOptions{SegmentSize: 4 << 10},
+		Stream:              core.StreamOptions{Codec: "v1", SegmentSize: 4 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +133,14 @@ func TestCommitEveryBytesTriggers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	in := faults.New(7)
-	p := core.Params{Version: core.Version1, Injector: in}
+	p := core.Params{Injector: in}
 
 	// A byte trigger far below one segment's output commits every frame
 	// even though the segment cadence alone (1000) never would.
 	w, err := Create(path, p, Options{
 		CommitEverySegments: 1000,
 		CommitEveryBytes:    1,
-		Stream:              core.StreamOptions{SegmentSize: 8 << 10},
+		Stream:              core.StreamOptions{Codec: "v1", SegmentSize: 8 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +161,14 @@ func TestFsyncFailureKeepsPartialAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	input := datasets.CFiles(40<<10, 13)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, 8<<10)
 
 	// Every fsync fails: the first commit kills the stream.
 	in := faults.New(7).Always(faults.SiteSync)
 	pi := p
 	pi.Injector = in
-	w, err := Create(path, pi, Options{Stream: core.StreamOptions{SegmentSize: 8 << 10}})
+	w, err := Create(path, pi, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: 8 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFsyncFailureKeepsPartialAndResumes(t *testing.T) {
 	}
 
 	// Resume with a healthy environment completes the stream.
-	rw, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{SegmentSize: 8 << 10}})
+	rw, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: 8 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +217,12 @@ func TestResumeCompletePartialFinalizes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	input := datasets.CFiles(30<<10, 23)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, 8<<10)
 	if err := os.WriteFile(PartialPath(path), ref, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, rep, err := Resume(path, p, Options{})
+	w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +248,14 @@ func TestResumeHeaderlessPartialStartsOver(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.clzs")
 	input := datasets.CFiles(20<<10, 3)
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, 8<<10)
 
 	// The crash hit inside the 7-byte header: nothing is recoverable.
 	if err := os.WriteFile(PartialPath(path), ref[:3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{SegmentSize: 8 << 10}})
+	w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1", SegmentSize: 8 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestResumeHeaderlessPartialStartsOver(t *testing.T) {
 }
 
 func TestScanTailRejectsForeignFiles(t *testing.T) {
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	if _, err := ScanTail(bytes.NewReader([]byte("not a clzs stream at all")), p); err == nil {
 		t.Fatal("ScanTail accepted a foreign file")
 	}
@@ -292,8 +292,8 @@ func TestDurableObsCounters(t *testing.T) {
 	path := filepath.Join(dir, "out.clzs")
 	input := datasets.CFiles(32<<10, 41)
 	reg := obs.NewRegistry()
-	p := core.Params{Version: core.Version1, Obs: reg}
-	ref := refStream(t, input, core.Params{Version: core.Version1}, 8<<10)
+	p := core.Params{Obs: reg}
+	ref := refStream(t, input, core.Params{}, 8<<10)
 
 	// Interrupt at an intra-frame offset, then resume under the same
 	// registry.
@@ -301,7 +301,7 @@ func TestDurableObsCounters(t *testing.T) {
 	if err := os.WriteFile(PartialPath(path), ref[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, rep, err := Resume(path, p, Options{})
+	w, rep, err := Resume(path, p, Options{Stream: core.StreamOptions{Codec: "v1"}})
 	if err != nil {
 		t.Fatal(err)
 	}

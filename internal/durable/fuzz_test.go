@@ -17,7 +17,7 @@ import (
 func TestScanTailTruncateEveryByte(t *testing.T) {
 	const segSize = 512
 	input := datasets.CFiles(4<<10, 19) // 8 frames of 512 bytes
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	ref := refStream(t, input, p, segSize)
 	bounds := boundaries(t, ref)
 
@@ -70,10 +70,10 @@ func TestScanTailTruncateEveryByte(t *testing.T) {
 // the input, and must be prefix-monotonic: deleting the final byte can
 // only shrink (or keep) the verified prefix.
 func FuzzScanTail(f *testing.F) {
-	p := core.Params{Version: core.Version1}
+	p := core.Params{}
 	input := datasets.CFiles(2<<10, 19)
 	var seedBuf bytes.Buffer
-	w := core.NewWriterOptions(&seedBuf, p, core.StreamOptions{SegmentSize: 512})
+	w := core.NewWriterOptions(&seedBuf, p, core.StreamOptions{Codec: "v1", SegmentSize: 512})
 	_, _ = w.Write(input)
 	_ = w.Close()
 	valid := seedBuf.Bytes()

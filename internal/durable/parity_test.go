@@ -17,6 +17,7 @@ func refParityStream(t *testing.T, input []byte, p core.Params, segSize, k, m in
 	t.Helper()
 	var buf bytes.Buffer
 	w := core.NewWriterOptions(&buf, p, core.StreamOptions{
+		Codec:       "v2",
 		SegmentSize: segSize,
 		Parity:      core.ParityConfig{K: k, M: m},
 	})
@@ -39,7 +40,7 @@ func writePartial(t *testing.T, path string, b []byte) {
 func TestScanTailParityState(t *testing.T) {
 	const seg = 8 << 10
 	input := datasets.CFiles(9*seg-seg/2, 41) // 9 segments: groups 4+4+1
-	p := core.Params{Version: core.Version2}
+	p := core.Params{}
 	full := refParityStream(t, input, p, seg, 4, 2)
 	bounds := boundaries(t, full)
 	// bounds: header, d0..d3, p0, p1, d4..d7, p2, p3, d8, p4, p5, trailer.
@@ -104,10 +105,10 @@ func TestScanTailParityState(t *testing.T) {
 func TestResumeParityByteEquivalentAcrossCuts(t *testing.T) {
 	const seg = 8 << 10
 	input := datasets.CFiles(9*seg-seg/2, 42)
-	p := core.Params{Version: core.Version2}
+	p := core.Params{}
 	full := refParityStream(t, input, p, seg, 4, 2)
 	bounds := boundaries(t, full)
-	o := Options{Stream: core.StreamOptions{Parity: core.ParityConfig{K: 4, M: 2}}}
+	o := Options{Stream: core.StreamOptions{Codec: "v2", Parity: core.ParityConfig{K: 4, M: 2}}}
 
 	// Every record-boundary cut (and a few torn mid-record ones) must
 	// resume into a file byte-identical to the uninterrupted run.
@@ -153,10 +154,10 @@ func TestResumeTornFrameRepairsFromParity(t *testing.T) {
 	const seg = 8 << 10
 	input := datasets.CFiles(9*seg-seg/2, 43)
 	reg := obs.NewRegistry()
-	p := core.Params{Version: core.Version2, Obs: reg}
+	p := core.Params{Obs: reg}
 	full := refParityStream(t, input, p, seg, 4, 2)
 	bounds := boundaries(t, full)
-	o := Options{Stream: core.StreamOptions{Parity: core.ParityConfig{K: 4, M: 2}}}
+	o := Options{Stream: core.StreamOptions{Codec: "v2", Parity: core.ParityConfig{K: 4, M: 2}}}
 
 	// Partial ends after group 0's parity run; data frame 3 is torn.
 	prefix := append([]byte(nil), full[:bounds[6]]...)
@@ -203,10 +204,10 @@ func TestResumeTornFrameAndTornParityTail(t *testing.T) {
 	// finds the complete run back in place.
 	const seg = 8 << 10
 	input := datasets.CFiles(9*seg-seg/2, 44)
-	p := core.Params{Version: core.Version2}
+	p := core.Params{}
 	full := refParityStream(t, input, p, seg, 4, 2)
 	bounds := boundaries(t, full)
-	o := Options{Stream: core.StreamOptions{Parity: core.ParityConfig{K: 4, M: 2}}}
+	o := Options{Stream: core.StreamOptions{Codec: "v2", Parity: core.ParityConfig{K: 4, M: 2}}}
 
 	prefix := append([]byte(nil), full[:bounds[6]-3]...) // p1 loses its last bytes
 	for i := bounds[3] + 3; i < bounds[4]-1; i++ {

@@ -255,10 +255,10 @@ func repairPartial(f *os.File, size int64) (int, error) {
 //   - The partial has no usable prefix (cut inside the header): the
 //     returned Writer starts the stream over; report.TotalLen is 0.
 //
-// Params must match the original run where output bytes are concerned
-// (Version, Window...); Options may change the commit cadence, but the
-// segment size is taken from the partial's header, overriding
-// o.Stream.SegmentSize.
+// Params and o.Stream.Codec must match the original run where output
+// bytes are concerned (codec, Window...); Options may change the commit
+// cadence, but the segment size is taken from the partial's header,
+// overriding o.Stream.SegmentSize.
 func Resume(path string, p core.Params, o Options) (*Writer, *TailReport, error) {
 	f, err := os.OpenFile(PartialPath(path), os.O_RDWR, 0)
 	if err != nil {

@@ -238,6 +238,12 @@ func (h *Header) Validate(payloadLen int) error {
 	if total > payloadLen {
 		return fmt.Errorf("%w: chunk table wants %d payload bytes, have %d", ErrTruncated, total, payloadLen)
 	}
+	// Without a chunk size one chunk spans the whole input (the serial
+	// and raw-store codecs); more chunks would all decode into the same
+	// output range.
+	if h.ChunkSize == 0 && len(h.ChunkSizes) > 1 {
+		return fmt.Errorf("%w: %d chunks without a chunk size", ErrCorrupt, len(h.ChunkSizes))
+	}
 	if h.ChunkSize > 0 && h.OriginalLen > 0 {
 		want := (h.OriginalLen + h.ChunkSize - 1) / h.ChunkSize
 		if want != len(h.ChunkSizes) {

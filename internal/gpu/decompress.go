@@ -46,6 +46,22 @@ func DecompressInto(dst []byte, container []byte, opts Options) ([]byte, *Report
 
 	payload := container[off:]
 	bounds := h.ChunkBounds()
+	// Bound each chunk's claim by its payload before allocating for it:
+	// a coded token takes two bytes and its one-byte length field caps
+	// the match at MinMatch+255 bytes; a literal yields less. The claims
+	// must also cover OriginalLen, or chunk-less headers could still ask
+	// for any amount.
+	claimed := 0
+	for _, bd := range bounds {
+		if bd.UncompLen > bd.CompLen/2*(cfg.MinMatch+255) {
+			return nil, nil, fmt.Errorf("gpu: chunk %d: %w: %d payload bytes cannot decode to %d",
+				bd.Index, format.ErrCorrupt, bd.CompLen, bd.UncompLen)
+		}
+		claimed += bd.UncompLen
+	}
+	if claimed != h.OriginalLen {
+		return nil, nil, fmt.Errorf("gpu: %w: chunks cover %d of %d bytes", format.ErrCorrupt, claimed, h.OriginalLen)
+	}
 	var out []byte
 	if cap(dst) >= h.OriginalLen {
 		out = dst[:h.OriginalLen]

@@ -9,7 +9,7 @@ import (
 
 // This file is the supervised dispatch layer: the bridge between the
 // shard-producing entry points (CompressV1MultiGPU, CompressV1Hybrid,
-// CompressV1Streamed, and core.Writer's segment loop) and the
+// CompressV1Streamed, core.Compress and core.Writer's segment loop) and the
 // health.Supervisor's device pool. One piece of work (a shard, a slice, a
 // segment) flows through dispatch, parameterized by the Engine that
 // does the encoding:
@@ -34,30 +34,16 @@ type Engine interface {
 	CompressCPU(data []byte, opts Options) ([]byte, error)
 }
 
-// EngineV1 adapts the Version 1 entry points to the Engine shape.
-type EngineV1 struct{}
+// engineV1 adapts the Version 1 entry points to the Engine shape for the
+// V1-specific schedulers (multi-GPU, hybrid, streamed).
+type engineV1 struct{}
 
-// Compress runs the V1 kernel.
-func (EngineV1) Compress(data []byte, opts Options) ([]byte, *Report, error) {
+func (engineV1) Compress(data []byte, opts Options) ([]byte, *Report, error) {
 	return CompressV1(data, opts)
 }
 
-// CompressCPU runs V1's bit-identical host twin.
-func (EngineV1) CompressCPU(data []byte, opts Options) ([]byte, error) {
+func (engineV1) CompressCPU(data []byte, opts Options) ([]byte, error) {
 	return CompressV1CPU(data, opts)
-}
-
-// EngineV2 adapts the Version 2 entry points to the Engine shape.
-type EngineV2 struct{}
-
-// Compress runs the V2 kernel.
-func (EngineV2) Compress(data []byte, opts Options) ([]byte, *Report, error) {
-	return CompressV2(data, opts)
-}
-
-// CompressCPU runs V2's bit-identical host twin.
-func (EngineV2) CompressCPU(data []byte, opts Options) ([]byte, error) {
-	return CompressV2CPU(data, opts)
 }
 
 // dispatchResult is one supervised dispatch outcome.
@@ -92,20 +78,6 @@ func CompressSupervised(e Engine, data []byte, opts Options, home int, op string
 	}
 	res, err := dispatch(e, opts.Health, data, opts, home, op)
 	return res.Container, res.Report, res.Degraded, err
-}
-
-// CompressV1Supervised is CompressSupervised under the V1 engine — kept
-// as the named entry point the pre-codec callers (multi-GPU, hybrid,
-// streamed schedulers) dispatch through.
-func CompressV1Supervised(data []byte, opts Options, home int, op string) (container []byte, rep *Report, degraded bool, err error) {
-	return CompressSupervised(EngineV1{}, data, opts, home, op)
-}
-
-// CompressV2Supervised is CompressSupervised under the V2 engine: the
-// match-per-thread kernel with redispatch and a degrade tail that lands
-// on CompressV2CPU, V2's own byte-identical twin.
-func CompressV2Supervised(data []byte, opts Options, home int, op string) (container []byte, rep *Report, degraded bool, err error) {
-	return CompressSupervised(EngineV2{}, data, opts, home, op)
 }
 
 // dispatch compresses data with e over sup's device pool. home is the

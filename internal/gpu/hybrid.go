@@ -139,7 +139,7 @@ func CompressV1Hybrid(data []byte, opts Options, cpuFraction float64) ([]byte, *
 			// redispatch and CPU degrade, so a sick device cannot fail
 			// the hybrid run.
 			var res dispatchResult
-			res, err = dispatch(EngineV1{}, opts.Health, gpuData, opts, -1, "hybrid gpu shard")
+			res, err = dispatch(engineV1{}, opts.Health, gpuData, opts, -1, "hybrid gpu shard")
 			cont, r, rep.GPUDegraded = res.Container, res.Report, res.Degraded
 		} else {
 			cont, r, err = CompressV1(gpuData, opts)

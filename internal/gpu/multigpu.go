@@ -127,7 +127,7 @@ func CompressV1MultiGPU(data []byte, opts Options, nGPUs int) ([]byte, *MultiGPU
 				return nil, nil, fmt.Errorf("gpu: device %d: %w", g, err)
 			}
 		} else {
-			res, err := dispatch(EngineV1{}, sup, shard, opts, g%sup.Devices(), fmt.Sprintf("shard %d", g))
+			res, err := dispatch(engineV1{}, sup, shard, opts, g%sup.Devices(), fmt.Sprintf("shard %d", g))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -76,7 +76,7 @@ func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report
 			// failure, CPU degrade when the pool is out) so one sick
 			// device cannot stall the stream.
 			var res dispatchResult
-			res, err = dispatch(EngineV1{}, opts.Health, slice, opts, -1, fmt.Sprintf("stream %d", s))
+			res, err = dispatch(engineV1{}, opts.Health, slice, opts, -1, fmt.Sprintf("stream %d", s))
 			cont, rep, degraded = res.Container, res.Report, res.Degraded
 		} else {
 			cont, rep, err = CompressV1(slice, opts)

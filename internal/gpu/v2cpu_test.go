@@ -71,11 +71,24 @@ func TestCompressV2CPUBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompressV2SupervisedRedispatchesAndDegrades exercises the generic
+// testEngineV2 puts the V2 entry points behind the Engine shape; the
+// registered V2 engine lives in internal/codec, which imports this
+// package.
+type testEngineV2 struct{}
+
+func (testEngineV2) Compress(data []byte, opts Options) ([]byte, *Report, error) {
+	return CompressV2(data, opts)
+}
+
+func (testEngineV2) CompressCPU(data []byte, opts Options) ([]byte, error) {
+	return CompressV2CPU(data, opts)
+}
+
+// TestCompressSupervisedV2RedispatchesAndDegrades exercises the generic
 // dispatch ladder under the V2 engine: a dead home device redispatches
 // to the healthy sibling (byte-identical output, no degrade); an
 // all-dead pool degrades to CompressV2CPU, still byte-identical.
-func TestCompressV2SupervisedRedispatchesAndDegrades(t *testing.T) {
+func TestCompressSupervisedV2RedispatchesAndDegrades(t *testing.T) {
 	input := datasets.CFiles(48<<10, 21)
 	want, _, err := CompressV2(input, Options{})
 	if err != nil {
@@ -86,7 +99,7 @@ func TestCompressV2SupervisedRedispatchesAndDegrades(t *testing.T) {
 		{Device: deadDevice()},
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err := CompressV2Supervised(input, Options{Health: sup}, 0, "v2 work")
+	got, rep, degraded, err := CompressSupervised(testEngineV2{}, input, Options{Health: sup}, 0, "v2 work")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +120,7 @@ func TestCompressV2SupervisedRedispatchesAndDegrades(t *testing.T) {
 		{Device: deadDevice()},
 		{Device: deadDevice()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err = CompressV2Supervised(input, Options{Health: allDead}, -1, "v2 work")
+	got, rep, degraded, err = CompressSupervised(testEngineV2{}, input, Options{Health: allDead}, -1, "v2 work")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"culzss/internal/core"
+	"culzss/internal/codec"
 	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
+	"culzss/internal/format"
 	"culzss/internal/gpu"
 	"culzss/internal/lzss"
 	"culzss/internal/stats"
@@ -113,7 +114,7 @@ func ExtensionHybrid(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtensionAutoSelection evaluates the VersionAuto heuristic against
+// ExtensionAutoSelection evaluates the codec.Auto selector against
 // always-V1 and always-V2 across the datasets (§V: "This feature gives
 // the ability to use the best matching implementation"). An oracle column
 // shows what a perfect per-dataset choice would cost.
@@ -122,7 +123,7 @@ func ExtensionAutoSelection(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:   "Extension — automatic version selection (§V)",
 		Columns: []string{"dataset", "V1 sat", "V2 sat", "auto picks", "auto sat", "oracle"},
-		Notes:   []string{"Saturated simulated totals; 'auto picks' is the sampled heuristic of core.SelectVersion."},
+		Notes:   []string{"Saturated simulated totals; 'auto picks' is the sampled choice of codec.SelectCodec (a raw-store pick would show as V2)."},
 	}
 	for _, ds := range datasets.All() {
 		data := ds.Gen(cfg.Size, cfg.Seed)
@@ -135,7 +136,7 @@ func ExtensionAutoSelection(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		pick, picked := "V2", r2
-		if core.SelectVersion(data) == core.Version1 {
+		if codec.SelectCodec(data) == format.CodecCULZSSV1 {
 			pick, picked = "V1", r1
 		}
 		oracle := r1

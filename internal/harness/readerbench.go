@@ -45,7 +45,7 @@ func ReaderDecodeCells(cfg Config, workerCounts []int) ([]BenchCell, error) {
 	segSize := (len(data) + readerSegments - 1) / readerSegments
 
 	var stream bytes.Buffer
-	w := core.NewWriterOptions(&stream, core.Params{Version: core.Version1}, core.StreamOptions{SegmentSize: segSize})
+	w := core.NewWriterOptions(&stream, core.Params{}, core.StreamOptions{SegmentSize: segSize, Codec: "v1"})
 	if _, err := w.Write(data); err != nil {
 		return nil, fmt.Errorf("reader bench: writing stream: %w", err)
 	}

@@ -172,6 +172,41 @@ func TestRawStoreOverheadBound(t *testing.T) {
 
 // TestRawStoreRejectsDamage: flipping a payload byte must fail the
 // checksum, and a foreign codec byte must be refused.
+// TestContainersFitFrameBound checks every registered engine against the
+// frame layer's container bound: a segment of n bytes compresses to at
+// most 2·n + 4 KiB (format's frameBound), so a reader may reject any
+// frame claiming more. Inputs are random and all-zero, of every length
+// from 0 to 16 bytes and of sizes up to 1 MiB.
+func TestContainersFitFrameBound(t *testing.T) {
+	sizes := []int{}
+	for n := 0; n <= 16; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 100, 1000, 4<<10, 4<<10+1, 64<<10, 1<<20)
+	for _, e := range Engines() {
+		e := e
+		t.Run(e.Name(), func(t *testing.T) {
+			t.Parallel() // the serial engines spend seconds on a random MiB
+			worst := 0.0
+			for _, n := range sizes {
+				for kind, data := range map[string][]byte{"random": randomBytes(n, int64(n)), "zeros": make([]byte, n)} {
+					cont, _, err := e.Compress(data, gpu.Options{})
+					if err != nil {
+						t.Fatalf("compress %d %s bytes: %v", n, kind, err)
+					}
+					if bound := 2*n + 4<<10; len(cont) > bound {
+						t.Errorf("%d %s bytes compress to %d, beyond the frame bound %d", n, kind, len(cont), bound)
+					}
+					if n >= 1<<10 {
+						worst = max(worst, float64(len(cont))/float64(n))
+					}
+				}
+			}
+			t.Logf("worst container %.3f·n for inputs of 1 KiB and more", worst)
+		})
+	}
+}
+
 func TestRawStoreRejectsDamage(t *testing.T) {
 	e, _ := Lookup(format.CodecStoreRaw)
 	cont, _, err := e.Compress(randomBytes(1024, 9), gpu.Options{})

@@ -3,20 +3,23 @@
 // (0x11d), the same field every production erasure coder uses, so shard
 // bytes are field elements and shard XOR is field addition.
 //
-// Multiplication goes through exp/log tables built once at init: small,
-// branch-free, and fast enough for the frame sizes parity groups carry
-// (the coder multiplies whole shards by scalars, so the table lookup is
-// the inner loop).
+// Scalar arithmetic goes through exp/log tables built once at init. The
+// shard kernel, which multiplies whole shards by one scalar, reads a
+// full product table instead: one lookup per byte, no zero branch.
 package ecc
+
+import "encoding/binary"
 
 // gfPoly is the primitive polynomial generating the field.
 const gfPoly = 0x11d
 
 // gfExp holds alpha^i for i in [0, 510) so gfMul can skip the mod-255
 // reduction of the log sum; gfLog is its inverse on [1, 255].
+// gfMulTable[a][b] is a·b, so row c is the whole map x -> c·x.
 var (
-	gfExp [510]byte
-	gfLog [256]byte
+	gfExp      [510]byte
+	gfLog      [256]byte
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -28,6 +31,11 @@ func init() {
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= gfPoly
+		}
+	}
+	for a := range gfMulTable {
+		for b := range gfMulTable[a] {
+			gfMulTable[a][b] = gfMul(byte(a), byte(b))
 		}
 	}
 }
@@ -55,23 +63,43 @@ func gfDiv(a, b byte) byte {
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
 // mulSliceAdd computes dst[i] ^= c*src[i] — the accumulate step of a
-// matrix row applied to shards. c == 0 is a no-op; c == 1 degenerates to
-// plain XOR, which is the m=1 fast path's whole computation.
+// matrix row applied to shards — eight bytes per step. c == 0 is a
+// no-op; c == 1 degenerates to plain XOR, which is the m=1 fast path's
+// whole computation; any other c reads row c of gfMulTable. The all-zero
+// tail of src is skipped (c·0 = 0): a shard zero-padded up to the
+// group's longest frame costs only its real bytes.
 func mulSliceAdd(dst, src []byte, c byte) {
-	switch c {
-	case 0:
+	if c == 0 {
 		return
-	case 1:
+	}
+	n := len(src)
+	for n >= 8 && binary.LittleEndian.Uint64(src[n-8:]) == 0 {
+		n -= 8
+	}
+	for n > 0 && src[n-1] == 0 {
+		n--
+	}
+	src, dst = src[:n], dst[:n]
+	if c == 1 {
+		for len(src) >= 8 {
+			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
+			src, dst = src[8:], dst[8:]
+		}
 		for i, s := range src {
 			dst[i] ^= s
 		}
-	default:
-		lc := int(gfLog[c])
-		for i, s := range src {
-			if s != 0 {
-				dst[i] ^= gfExp[lc+int(gfLog[s])]
-			}
-		}
+		return
+	}
+	t := &gfMulTable[c]
+	for len(src) >= 8 {
+		s := binary.LittleEndian.Uint64(src)
+		p := uint64(t[byte(s)]) | uint64(t[byte(s>>8)])<<8 | uint64(t[byte(s>>16)])<<16 | uint64(t[byte(s>>24)])<<24 |
+			uint64(t[byte(s>>32)])<<32 | uint64(t[byte(s>>40)])<<40 | uint64(t[byte(s>>48)])<<48 | uint64(t[s>>56])<<56
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^p)
+		src, dst = src[8:], dst[8:]
+	}
+	for i, s := range src {
+		dst[i] ^= t[s]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -175,6 +176,48 @@ func TestFrameReaderDetectsCorruption(t *testing.T) {
 	}
 }
 
+// oversizedClaims are two tiny streams whose first record claims 1 GiB:
+// a segment frame's container and a parity frame's shard. Both headers
+// declare 64 KiB segments.
+func oversizedClaims() (segment, parity []byte) {
+	segment = AppendStreamHeader(nil, 64<<10)
+	segment = append(segment, frameMarkerSegment)
+	segment = appendUvarintBytes(segment, 0)      // index
+	segment = appendUvarintBytes(segment, 64<<10) // rawLen
+	segment = appendUvarintBytes(segment, 1<<30)  // compLen
+	segment = append(segment, 0, 0, 0, 0)         // CRC
+	parity = AppendStreamHeader(nil, 64<<10)
+	parity = append(parity, frameMarkerParity, 0, 1, 1, 0) // firstIndex, k, m, j
+	parity = appendUvarintBytes(parity, 1<<30)             // shardLen
+	parity = appendUvarintBytes(parity, 64<<10)            // frameLens[0]
+	parity = append(parity, 0, 0, 0, 0)                    // CRC
+	return segment, parity
+}
+
+// TestFrameReaderBoundsClaimsBeforeAllocating feeds the normal-mode
+// reader records that claim a 1 GiB container or shard in a stream of
+// 64 KiB segments: each must fail as corrupt without allocating what it
+// claims.
+func TestFrameReaderBoundsClaimsBeforeAllocating(t *testing.T) {
+	segment, parity := oversizedClaims()
+	for name, stream := range map[string][]byte{"segment": segment, "parity": parity} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := NewFrameReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		_, _, err = fr.Next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s claim of 1 GiB (%d-byte stream): %v, want ErrCorrupt", name, len(stream), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s claim of 1 GiB allocated %d bytes", name, n)
+		}
+	}
+}
+
 func appendUvarintBytes(dst []byte, v uint64) []byte {
 	for v >= 0x80 {
 		dst = append(dst, byte(v)|0x80)
@@ -195,6 +238,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	}))
 	f.Add([]byte(StreamMagic))
 	f.Add(append([]byte(StreamMagic), StreamVersion, 0, 0x80, 0x80, 0x80))
+	segment, parity := oversizedClaims()
+	f.Add(segment)
+	f.Add(parity)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := NewFrameReader(bytes.NewReader(data))
 		if err != nil {

@@ -86,7 +86,7 @@ func (e *RepairedSegmentError) Unwrap() error { return e.Err }
 // groupFrame is one retained data frame.
 type groupFrame struct {
 	frame   *SegmentFrame
-	encoded []byte // exact wire bytes (re-encoded; identical by determinism)
+	encoded []byte // exact wire bytes (rebuilt from the verified fields)
 	off     int64  // absolute stream offset of the frame, -1 unknown
 }
 
@@ -187,7 +187,7 @@ func (fr *FrameReader) repairFrame(f *SegmentFrame) {
 	if rep.poisoned[f.Index] {
 		return // index already voided by a collision
 	}
-	enc := AppendSegmentFrame(make([]byte, 0, 24+len(f.Container)), f.Index, f.RawLen, f.Container)
+	enc := appendSegmentRecord(make([]byte, 0, maxSegmentHeader+len(f.Container)), f.Index, f.RawLen, f.crc, f.Container)
 	if old := rep.got[f.Index]; old != nil {
 		if bytes.Equal(old.encoded, enc) {
 			return // exact duplicate
@@ -529,21 +529,27 @@ func (fr *FrameReader) trySolve(s int, hdr *ParityFrame, run []*parityRec) *grou
 	if erasures > len(parityHave) {
 		return nil
 	}
+	coder, err := ecc.New(k, m)
+	if err != nil {
+		return nil
+	}
+	// Pad the held frames once; every trial below reads the same shards.
+	padded := make([][]byte, k)
+	for i, enc := range dataEnc {
+		if enc != nil {
+			padded[i] = padShard(enc, shardLen)
+		}
+	}
 
 	tryErase := func(extra int) *groupSolution {
 		shards := make([][]byte, k+m)
 		for i := 0; i < k; i++ {
-			if dataEnc[i] == nil || i == extra {
-				continue
+			if i != extra {
+				shards[i] = padded[i]
 			}
-			shards[i] = padShard(dataEnc[i], shardLen)
 		}
 		for j := 0; j < m; j++ {
 			shards[k+j] = parShard[j]
-		}
-		coder, err := ecc.New(k, m)
-		if err != nil {
-			return nil
 		}
 		if err := coder.Reconstruct(shards); err != nil {
 			return nil
@@ -554,7 +560,7 @@ func (fr *FrameReader) trySolve(s int, hdr *ParityFrame, run []*parityRec) *grou
 				continue
 			}
 			enc := shards[i][:hdr.FrameLens[i]]
-			sf, err := parseSegmentRecord(enc)
+			sf, err := parseSegmentRecord(enc, fr.maxRaw)
 			if err != nil || sf.Index != s+i {
 				return nil
 			}

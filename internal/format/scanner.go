@@ -268,7 +268,7 @@ func (s *BoundaryScanner) step(b byte) {
 	case scanParShardLen:
 		if v, done := s.varint(b); done {
 			s.parShardLen = int(v)
-			if err := validateParityGeometry(s.parFirst, s.parK, s.parM, s.parJ, s.parShardLen); err != nil {
+			if err := validateParityGeometry(s.parFirst, s.parK, s.parM, s.parJ, s.parShardLen, MaxSegmentLen+maxSegmentHeader); err != nil {
 				s.fail(err)
 				return
 			}

@@ -167,22 +167,30 @@ type BlockCtx struct {
 	cfg        *LaunchConfig
 	acct       blockAccount
 	sharedUsed int
+	shared     []byte    // backing for Shared, reused by the worker's next block
 	lanes      []int64   // per-thread cycles within the current phase
 	lane       ThreadCtx // the context Parallel hands each lane in turn
 }
 
 // Shared allocates n bytes of the block's shared memory, zeroed. The sum of
-// a block's allocations must stay within LaunchConfig.SharedPerBlock.
+// a block's allocations must stay within LaunchConfig.SharedPerBlock. Like
+// device shared memory, the bytes live only until the block returns.
 func (b *BlockCtx) Shared(n int) []byte {
 	if n < 0 {
 		panic(launchFault{fmt.Errorf("cudasim: negative shared allocation")})
 	}
+	start := b.sharedUsed
 	b.sharedUsed += n
 	if b.sharedUsed > b.cfg.SharedPerBlock {
 		panic(launchFault{fmt.Errorf("cudasim: block %d shared memory overflow: %d > budget %d",
 			b.Index, b.sharedUsed, b.cfg.SharedPerBlock)})
 	}
-	return make([]byte, n)
+	if b.shared == nil {
+		b.shared = make([]byte, b.cfg.SharedPerBlock)
+	}
+	s := b.shared[start:b.sharedUsed:b.sharedUsed]
+	clear(s)
+	return s
 }
 
 // launchFault carries kernel-detected errors through panic/recover so that
@@ -350,6 +358,8 @@ func (d *Device) LaunchPhased(cfg LaunchConfig, kernel func(b *BlockCtx)) (*Laun
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One context per worker, reset for each block it runs.
+			b := &BlockCtx{NumThreads: cfg.ThreadsPerBlock, dev: d, cfg: &cfg}
 			for idx := range next {
 				func() {
 					defer func() {
@@ -365,7 +375,7 @@ func (d *Device) LaunchPhased(cfg LaunchConfig, kernel func(b *BlockCtx)) (*Laun
 							faultMu.Unlock()
 						}
 					}()
-					b := &BlockCtx{Index: idx, NumThreads: cfg.ThreadsPerBlock, dev: d, cfg: &cfg}
+					b.Index, b.acct, b.sharedUsed = idx, blockAccount{}, 0
 					kernel(b)
 					accounts[idx] = b.acct
 				}()

@@ -224,9 +224,10 @@ func TestReportsSane(t *testing.T) {
 }
 
 func TestCompressAllocationBounded(t *testing.T) {
-	// The kernels' phases reuse one lane context per block, so heap use
-	// is the inputs' match records, streams and container, not per-lane
-	// bookkeeping.
+	// The launch workers reuse one block context, and V2 takes its match
+	// records, token streams and tile indexes from pools, so a warm V2
+	// launch allocates little beyond its container; V1's heap use is its
+	// streams and container.
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates on its own")
 	}
@@ -236,7 +237,7 @@ func TestCompressAllocationBounded(t *testing.T) {
 		run   func([]byte, Options) ([]byte, *Report, error)
 		bound float64 // heap bytes per input byte
 	}{
-		{"V2", CompressV2, 8},
+		{"V2", CompressV2, 4},
 		{"V1", CompressV1, 3},
 	} {
 		if _, _, err := c.run(input, Options{}); err != nil { // warm-up

@@ -38,9 +38,12 @@ type Params struct {
 	// ThreadsPerBlock is the GPU block width; 0 means 128 (§III.D).
 	ThreadsPerBlock int
 	// Window overrides the sliding-window size (§VII's tuning API);
-	// 0 means the codec's preset. The GPU codecs accept at most 256.
+	// 0 means the codec's preset. The GPU codecs accept at most 256,
+	// the others at most 64 KiB.
 	Window int
 	// MaxMatch overrides the maximum match length; 0 means the preset.
+	// It may exceed the minimum match by at most 65535 (255 on the GPU
+	// codecs).
 	MaxMatch int
 	// Device is the simulated GPU; nil uses the device detected by Init.
 	Device *cudasim.Device

@@ -73,8 +73,14 @@ func CULZSSV1() Config { return Config{Window: 128, MaxMatch: 18, MinMatch: 3} }
 // comes from (Table II, last row).
 func CULZSSV2() Config { return Config{Window: 128, MaxMatch: 258, MinMatch: 3} }
 
+// maxFieldBits caps the bit-packed stream's distance and length fields.
+const maxFieldBits = 16
+
 // Validate reports whether the configuration is internally consistent and
-// expressible in both token-stream formats used by this repository.
+// fits the bit-packed token's fields; byteAlignedOK checks the narrower
+// byte-aligned token. No encoder writes a field wider than maxFieldBits,
+// and no decoder accepts one: a length field of a header's choosing would
+// let one coded token claim any amount of output.
 func (c Config) Validate() error {
 	if c.Window < 1 {
 		return fmt.Errorf("lzss: window %d < 1", c.Window)
@@ -84,6 +90,12 @@ func (c Config) Validate() error {
 	}
 	if c.MaxMatch < c.MinMatch {
 		return fmt.Errorf("lzss: max match %d < min match %d", c.MaxMatch, c.MinMatch)
+	}
+	if w := offsetBits(&c); w > maxFieldBits {
+		return fmt.Errorf("lzss: window %d needs a %d-bit offset field, over %d", c.Window, w, maxFieldBits)
+	}
+	if w := lengthBits(&c); w > maxFieldBits {
+		return fmt.Errorf("lzss: max match %d needs a %d-bit length field, over %d", c.MaxMatch, w, maxFieldBits)
 	}
 	return nil
 }
@@ -269,6 +281,17 @@ func extend(data []byte, a, b, l, maxLen int) int {
 // padding.
 func MaxEncodedLenBitPacked(n int, cfg Config) int {
 	return (n*9+7)/8 + 1
+}
+
+// MaxDecodedLenBitPacked bounds what a compLen-byte bit-packed stream can
+// decode to under a valid cfg. Its tokens are whole: a literal yields one
+// byte for 9 bits and a coded token at most MaxMatch bytes for
+// 1+offset+length bits, so no stream yields more than its compLen*8 bits
+// spent all on the denser kind.
+func MaxDecodedLenBitPacked(compLen int, cfg Config) int {
+	bits := 8 * compLen
+	coded := int(1 + offsetBits(&cfg) + lengthBits(&cfg))
+	return max(bits/9, bits*cfg.MaxMatch/coded)
 }
 
 // MaxEncodedLenByteAligned bounds the byte-aligned stream size for n input

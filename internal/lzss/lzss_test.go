@@ -27,11 +27,18 @@ func TestConfigValidateRejects(t *testing.T) {
 		{Window: 0, MaxMatch: 18, MinMatch: 3},
 		{Window: 128, MaxMatch: 2, MinMatch: 3},
 		{Window: 128, MaxMatch: 18, MinMatch: 1},
+		{Window: 1<<16 + 1, MaxMatch: 18, MinMatch: 3},    // 17-bit offset
+		{Window: 1, MaxMatch: 1<<16 + 3, MinMatch: 3},     // 17-bit length
+		{Window: 1, MaxMatch: 1 << 34, MinMatch: 3},       // 34-bit length
+		{Window: 1 << 40, MaxMatch: 1 << 40, MinMatch: 3}, // what a header may claim
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", cfg)
 		}
+	}
+	if err := (Config{Window: 1 << 16, MaxMatch: 1<<16 + 2, MinMatch: 3}).Validate(); err != nil {
+		t.Errorf("Validate refused 16-bit fields: %v", err)
 	}
 	tooWide := Config{Window: 512, MaxMatch: 18, MinMatch: 3}
 	if err := tooWide.byteAlignedOK(); err == nil {
@@ -267,12 +274,16 @@ func genRandom(n int, seed int64) []byte {
 }
 
 func TestRoundTripsAcrossConfigsAndInputs(t *testing.T) {
-	cfgs := []Config{Dipperstein(), CULZSSV1(), CULZSSV2(), {Window: 256, MaxMatch: 20, MinMatch: 3}}
+	cfgs := []Config{Dipperstein(), CULZSSV1(), CULZSSV2(), {Window: 256, MaxMatch: 20, MinMatch: 3},
+		// The widest bit-packed fields, with the most distance and the
+		// most length per token.
+		{Window: 1 << 16, MaxMatch: 1<<16 + 2, MinMatch: 3}, {Window: 1, MaxMatch: 1<<16 + 2, MinMatch: 3}}
 	inputs := map[string][]byte{
 		"empty":    {},
 		"single":   {42},
 		"two":      {1, 2},
 		"runs":     bytes.Repeat([]byte{'a'}, 1000),
+		"zeros":    make([]byte, 200_000),
 		"period20": bytes.Repeat([]byte("abcdefghijklmnopqrst"), 50),
 		"text":     genText(4096, 11),
 		"random":   genRandom(4096, 12),
@@ -290,6 +301,9 @@ func TestRoundTripsAcrossConfigsAndInputs(t *testing.T) {
 			comp := roundTripBitPacked(t, input, cfg, SearchBrute)
 			if len(input) > 0 && len(comp) > MaxEncodedLenBitPacked(len(input), cfg) {
 				t.Errorf("cfg %+v %s: bit-packed %d exceeds bound %d", cfg, name, len(comp), MaxEncodedLenBitPacked(len(input), cfg))
+			}
+			if bound := MaxDecodedLenBitPacked(len(comp), cfg); len(input) > bound {
+				t.Errorf("cfg %+v %s: %d bit-packed bytes decode to %d, over the bound %d", cfg, name, len(comp), len(input), bound)
 			}
 			roundTripBitPacked(t, input, cfg, SearchHashChain)
 			if cfg.byteAlignedOK() != nil {

@@ -34,9 +34,10 @@ type ByteAlignedWriter struct {
 	nGroup  int // tokens in the current group (0..8)
 }
 
-// NewByteAlignedWriter returns a writer with the given capacity hint.
-func NewByteAlignedWriter(cfg *Config, capHint int) *ByteAlignedWriter {
-	return &ByteAlignedWriter{cfg: cfg, dst: make([]byte, 0, capHint), flagPos: -1}
+// NewByteAlignedWriter returns a writer that appends the stream to dst,
+// so a caller can reuse a buffer by passing it as buf[:0].
+func NewByteAlignedWriter(cfg *Config, dst []byte) *ByteAlignedWriter {
+	return &ByteAlignedWriter{cfg: cfg, dst: dst, flagPos: -1}
 }
 
 func (w *ByteAlignedWriter) openGroup() {
@@ -69,7 +70,7 @@ func (w *ByteAlignedWriter) Match(m Match) error {
 	return nil
 }
 
-// Bytes returns the finished stream.
+// Bytes returns dst extended by the stream written so far.
 func (w *ByteAlignedWriter) Bytes() []byte { return w.dst }
 
 // AppendTokensByteAligned serialises a token sequence into the byte-aligned
@@ -120,7 +121,7 @@ func EncodeByteAligned(src []byte, cfg Config, search Search, stats *SearchStats
 	}
 	m := newMatcher(search, &cfg, src)
 	defer m.release()
-	w := NewByteAlignedWriter(&cfg, len(src)/2+16)
+	w := NewByteAlignedWriter(&cfg, make([]byte, 0, len(src)/2+16))
 	for pos := 0; pos < len(src); {
 		match := m.find(pos, stats)
 		if match.Length >= cfg.MinMatch {

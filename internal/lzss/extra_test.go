@@ -56,7 +56,7 @@ func TestFigure1EncodingExample(t *testing.T) {
 
 func TestByteAlignedWriterBasics(t *testing.T) {
 	cfg := CULZSSV1()
-	w := NewByteAlignedWriter(&cfg, 0)
+	w := NewByteAlignedWriter(&cfg, nil)
 	w.Literal('a')
 	if err := w.Match(Match{Distance: 1, Length: 5}); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestByteAlignedWriterBasics(t *testing.T) {
 func TestByteAlignedWriterGroupBoundaries(t *testing.T) {
 	cfg := CULZSSV1()
 	// 20 literals: groups of 8 + 8 + 4, three flag bytes.
-	w := NewByteAlignedWriter(&cfg, 0)
+	w := NewByteAlignedWriter(&cfg, nil)
 	for i := 0; i < 20; i++ {
 		w.Literal(byte('A' + i))
 	}
@@ -99,7 +99,7 @@ func TestByteAlignedWriterGroupBoundaries(t *testing.T) {
 
 func TestByteAlignedWriterRangeChecks(t *testing.T) {
 	cfg := CULZSSV1()
-	w := NewByteAlignedWriter(&cfg, 0)
+	w := NewByteAlignedWriter(&cfg, nil)
 	if err := w.Match(Match{Distance: 0, Length: 5}); err == nil {
 		t.Error("accepted distance 0")
 	}
@@ -115,13 +115,15 @@ func TestByteAlignedWriterRangeChecks(t *testing.T) {
 }
 
 // TestWriterMatchesAppendTokens pins the incremental writer to the
-// token-slice serializer.
+// token-slice serializer, each trial writing over the previous trial's
+// buffer, which starts out filled with set bits.
 func TestWriterMatchesAppendTokens(t *testing.T) {
 	cfg := CULZSSV2()
 	rng := rand.New(rand.NewSource(4))
+	buf := bytes.Repeat([]byte{0xff}, 512)
 	for trial := 0; trial < 50; trial++ {
 		var tokens []Token
-		w := NewByteAlignedWriter(&cfg, 0)
+		w := NewByteAlignedWriter(&cfg, buf[:0])
 		n := rng.Intn(40)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
@@ -143,6 +145,7 @@ func TestWriterMatchesAppendTokens(t *testing.T) {
 		if !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("trial %d: writer and serializer disagree", trial)
 		}
+		buf = w.Bytes()
 	}
 }
 

@@ -62,7 +62,7 @@ func EncodeByteAlignedOptimal(src []byte, cfg Config, stats *SearchStats) ([]byt
 	}
 
 	// Forward reconstruction.
-	w := NewByteAlignedWriter(&cfg, n/2+16)
+	w := NewByteAlignedWriter(&cfg, make([]byte, 0, n/2+16))
 	for i := 0; i < n; {
 		if l := int(choice[i]); l > 0 {
 			if err := w.Match(Match{Distance: best[i].Distance, Length: l}); err != nil {

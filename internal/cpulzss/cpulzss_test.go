@@ -55,6 +55,19 @@ func TestSerialEmptyInput(t *testing.T) {
 	}
 }
 
+func TestCompressRefusesMinMatchBeyondHeader(t *testing.T) {
+	// The header records MinMatch in 8 bits: 300 would be written as 44,
+	// and the stream would not decode.
+	cfg := lzss.Config{Window: 4096, MaxMatch: 400, MinMatch: 300}
+	input := make([]byte, 800)
+	if comp, err := CompressSerial(input, Options{Config: cfg}); err == nil {
+		t.Errorf("serial returned a %d-byte container", len(comp))
+	}
+	if comp, err := CompressParallel(input, Options{Config: cfg}); err == nil {
+		t.Errorf("pthread returned a %d-byte container", len(comp))
+	}
+}
+
 func TestParallelRoundTrip(t *testing.T) {
 	input := genText(100000, 2)
 	for _, workers := range []int{1, 2, 8} {

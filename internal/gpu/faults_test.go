@@ -60,6 +60,18 @@ func TestCompressV1CPURejectsOversizedConfig(t *testing.T) {
 	}
 }
 
+func TestCompressV1RefusesMinMatchBeyondHeader(t *testing.T) {
+	// Fits the 16-bit token, but the header records MinMatch in 8 bits.
+	cfg := lzss.Config{Window: 128, MaxMatch: 400, MinMatch: 300}
+	input := make([]byte, 800)
+	if cont, _, err := CompressV1(input, Options{Config: cfg}); err == nil {
+		t.Errorf("V1 returned a %d-byte container", len(cont))
+	}
+	if cont, err := CompressV1CPU(input, Options{Config: cfg}); err == nil {
+		t.Errorf("the V1 CPU fallback returned a %d-byte container", len(cont))
+	}
+}
+
 // --- launch / transfer / chunk fault sites -----------------------------
 
 func TestLaunchFaultInjected(t *testing.T) {

@@ -224,10 +224,10 @@ func TestReportsSane(t *testing.T) {
 }
 
 func TestCompressAllocationBounded(t *testing.T) {
-	// The launch workers reuse one block context, and V2 takes its match
-	// records, token streams and tile indexes from pools, so a warm V2
-	// launch allocates little beyond its container; V1's heap use is its
-	// streams and container.
+	// The launch workers reuse one block context. V2 takes its match
+	// records, token streams, tile indexes and GPU-post's selection
+	// scratch from pools, and V1 its chunk streams and window indexes,
+	// so a warm launch allocates little beyond its container.
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates on its own")
 	}
@@ -238,7 +238,8 @@ func TestCompressAllocationBounded(t *testing.T) {
 		bound float64 // heap bytes per input byte
 	}{
 		{"V2", CompressV2, 4},
-		{"V1", CompressV1, 3},
+		{"V2GPUPost", CompressV2GPUPost, 4},
+		{"V1", CompressV1, 1},
 	} {
 		if _, _, err := c.run(input, Options{}); err != nil { // warm-up
 			t.Fatal(err)

@@ -35,12 +35,21 @@ import (
 
 // selectChunkPositions marks, for one chunk, every position the greedy
 // walk visits, using the pointer-doubling rounds described above.
-// matchLen holds the recorded match length per position (0/1 for none).
-// The returned slice has selected[i] == true iff i starts a token.
-func selectChunkPositions(b *cudasim.BlockCtx, matchLen []uint16, minMatch int) []bool {
+// rec.len holds the recorded match length per position (0/1 for none).
+// The returned slice has selected[i] == true iff i starts a token; it
+// and the jump tables are rec's pooled scratch.
+func selectChunkPositions(b *cudasim.BlockCtx, rec *v2Records, minMatch int) []bool {
+	matchLen := rec.len
 	n := len(matchLen)
-	next := make([]int32, n+1) // position n = the terminal node
-	selected := make([]bool, n+1)
+	if cap(rec.selected) < n+1 {
+		rec.selected = make([]bool, n+1)
+		rec.jump = [2][]int32{make([]int32, n+1), make([]int32, n+1)}
+	}
+	selected := rec.selected[:n+1]
+	clear(selected)
+	// next holds each position's successor, position n being the
+	// terminal node; the doubling rounds ping-pong between it and spare.
+	next, spare := rec.jump[0][:n+1], rec.jump[1][:n+1]
 
 	// Phase 1: build next() — one parallel pass.
 	b.Parallel(func(th *cudasim.ThreadCtx) {
@@ -76,15 +85,14 @@ func selectChunkPositions(b *cudasim.BlockCtx, matchLen []uint16, minMatch int) 
 			}
 		})
 		// jump <- jump ∘ jump (pointer doubling).
-		newJump := make([]int32, n+1)
 		b.Parallel(func(th *cudasim.ThreadCtx) {
 			for i := th.Tid; i <= n; i += b.NumThreads {
-				newJump[i] = jump[jump[i]]
+				spare[i] = jump[jump[i]]
 				th.Work(3)
 				th.SharedAccess(2, 1)
 			}
 		})
-		jump = newJump
+		jump, spare = spare, jump
 	}
 	return selected[:n]
 }
@@ -166,7 +174,7 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 		}
 
 		// §VII: the selection, on the GPU.
-		selectedPer[b.Index] = selectChunkPositions(b, recs[b.Index].len, cfg.MinMatch)
+		selectedPer[b.Index] = selectChunkPositions(b, recs[b.Index], cfg.MinMatch)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -75,6 +75,9 @@ func TestSelectChunkPositionsUnit(t *testing.T) {
 	}
 	const minMatch = 3
 	dev := cudasim.FermiGTX480()
+	// One record serves every case, as the pool reuses them: the six-byte
+	// case runs on the eight-byte case's scratch, position 5 selected.
+	rec := new(v2Records)
 	for ci, matchLen := range cases {
 		// Serial reference walk.
 		want := make([]bool, len(matchLen))
@@ -87,11 +90,11 @@ func TestSelectChunkPositionsUnit(t *testing.T) {
 			}
 		}
 		var got []bool
-		matchLen := matchLen
+		rec.len = matchLen
 		_, err := dev.LaunchPhased(cudasim.LaunchConfig{
 			Kernel: "select_unit", Blocks: 1, ThreadsPerBlock: 32,
 		}, func(b *cudasim.BlockCtx) {
-			got = selectChunkPositions(b, matchLen, minMatch)
+			got = selectChunkPositions(b, rec, minMatch)
 		})
 		if err != nil {
 			t.Fatal(err)

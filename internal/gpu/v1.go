@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 
 	"culzss/internal/cudasim"
 	"culzss/internal/format"
@@ -44,10 +45,12 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 
 	// Device-side buckets: worst-case capacity per chunk; the host strips
 	// the empty tails afterwards. Functionally each thread encodes out of
-	// its host-mapped chunk slice; the traffic model is charged through
-	// ThreadCtx.GlobalAccess below.
+	// its host-mapped chunk slice into a pooled buffer; the traffic model
+	// is charged through ThreadCtx.GlobalAccess below.
 	bucketCap := lzss.MaxEncodedLenByteAligned(opts.ChunkSize)
 	streams := make([][]byte, nChunks)
+	buckets := make([]*[]byte, nChunks)
+	defer releaseBuckets(buckets)
 	statsPer := make([]lzss.SearchStats, nChunks)
 	var rec faultRecorder
 
@@ -74,7 +77,8 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 			}
 			chunk := chunks[ci]
 			st := &statsPer[ci]
-			comp, err := lzss.EncodeByteAligned(chunk, cfg, lzss.SearchBrute, st)
+			buckets[ci] = getBucket(bucketCap)
+			comp, err := lzss.AppendEncodedByteAligned((*buckets[ci])[:0], chunk, cfg, lzss.SearchBrute, st)
 			if err != nil {
 				rec.record(ci, fmt.Errorf("gpu: v1 chunk %d: %w", ci, err))
 				return
@@ -83,7 +87,7 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 				rec.record(ci, fmt.Errorf("gpu: v1 chunk %d overflows bucket: %d > %d", ci, len(comp), bucketCap))
 				return
 			}
-			streams[ci] = comp
+			*buckets[ci], streams[ci] = comp, comp
 
 			// --- timing model ---
 			// Compute: the search loop dominated by byte comparisons,
@@ -138,6 +142,28 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 	}
 	observeReport(opts.Obs, "culzss_v1", report)
 	return container, report, nil
+}
+
+// v1Buckets pools the lanes' chunk streams across launches.
+var v1Buckets = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBucket returns a pooled stream buffer of at least n bytes' capacity.
+func getBucket(n int) *[]byte {
+	b := v1Buckets.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, 0, n)
+	}
+	return b
+}
+
+// releaseBuckets returns a launch's buffers to the pool once its container
+// holds a copy of their streams. Chunks that never ran have none.
+func releaseBuckets(buckets []*[]byte) {
+	for _, b := range buckets {
+		if b != nil {
+			v1Buckets.Put(b)
+		}
+	}
 }
 
 // containerPayloadLen sums per-chunk stream lengths (the bytes actually

@@ -174,6 +174,9 @@ type v2Records struct {
 	len    []uint16 // match length, below MinMatch for none
 	dist   []uint8  // match distance - 1
 	stream []byte
+	// GPU-post's selection scratch (selectChunkPositions).
+	jump     [2][]int32
+	selected []bool
 }
 
 var v2RecordPool sync.Pool

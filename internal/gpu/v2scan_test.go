@@ -85,40 +85,53 @@ func checkV2Scan(t *testing.T, chunk []byte, cfg *lzss.Config, tpb int, rng *ran
 	}
 }
 
-// TestV2ConcurrentLaunchesShareScratch: launches running at once on
-// several goroutines draw records, scans and block contexts from the
-// shared pools, and each still produces the serial output.
-func TestV2ConcurrentLaunchesShareScratch(t *testing.T) {
-	inputs := make([][]byte, 4)
-	want := make([][]byte, len(inputs))
-	for i := range inputs {
-		inputs[i] = datasets.All()[i].Gen(48<<10+i*777, int64(50+i))
-		var err error
-		if want[i], _, err = CompressV2(inputs[i], Options{HostWorkers: 1}); err != nil {
-			t.Fatal(err)
+// TestConcurrentLaunchesShareScratch: V1 and V2 launches, and their CPU
+// twins, running at once on several goroutines draw chunk streams,
+// window indexes, records, scans and block contexts from the shared
+// pools, and each still produces the serial output.
+func TestConcurrentLaunchesShareScratch(t *testing.T) {
+	type engine struct {
+		name string
+		run  func([]byte, Options) ([]byte, error)
+	}
+	launch := func(f func([]byte, Options) ([]byte, *Report, error)) func([]byte, Options) ([]byte, error) {
+		return func(data []byte, opts Options) ([]byte, error) {
+			cont, _, err := f(data, opts)
+			return cont, err
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2*len(inputs))
+	pairs := [][2]engine{
+		{{"CompressV2", launch(CompressV2)}, {"CompressV2CPU", CompressV2CPU}},
+		{{"CompressV1", launch(CompressV1)}, {"CompressV1CPU", CompressV1CPU}},
+	}
+	inputs := make([][]byte, 4)
 	for i := range inputs {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if got, _, err := CompressV2(inputs[i], Options{HostWorkers: 2}); err != nil || !bytes.Equal(got, want[i]) {
-				errs[2*i] = fmt.Errorf("CompressV2 of input %d: err %v, output differs: %v", i, err, !bytes.Equal(got, want[i]))
+		inputs[i] = datasets.All()[i].Gen(48<<10+i*777, int64(50+i))
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var errs []error
+	for _, pair := range pairs {
+		for i, input := range inputs {
+			want, err := pair[0].run(input, Options{HostWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			if got, err := CompressV2CPU(inputs[i], Options{HostWorkers: 2}); err != nil || !bytes.Equal(got, want[i]) {
-				errs[2*i+1] = fmt.Errorf("CompressV2CPU of input %d: err %v, output differs: %v", i, err, !bytes.Equal(got, want[i]))
+			for _, e := range pair {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got, err := e.run(input, Options{HostWorkers: 2}); err != nil || !bytes.Equal(got, want) {
+						mu.Lock()
+						errs = append(errs, fmt.Errorf("%s of input %d: err %v, output differs: %v", e.name, i, err, !bytes.Equal(got, want)))
+						mu.Unlock()
+					}
+				}()
 			}
-		}()
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
+		t.Error(err)
 	}
 }

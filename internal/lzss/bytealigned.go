@@ -113,15 +113,28 @@ func AppendTokensByteAligned(dst []byte, tokens []Token, cfg *Config) ([]byte, e
 // GPU wire format: kernels must produce byte-identical output for the
 // same configuration.
 func EncodeByteAligned(src []byte, cfg Config, search Search, stats *SearchStats) ([]byte, error) {
+	return AppendEncodedByteAligned(make([]byte, 0, len(src)/2+16), src, cfg, search, stats)
+}
+
+// AppendEncodedByteAligned appends the byte-aligned stream of src to dst,
+// as EncodeByteAligned, so a caller can reuse a buffer by passing it as
+// buf[:0]. SearchBrute runs through a sliding window index that returns
+// LongestMatch's matches and search counters for less work: greedy
+// parsing searches only where a token starts, and the index is kept
+// current a byte at a time in between.
+func AppendEncodedByteAligned(dst, src []byte, cfg Config, search Search, stats *SearchStats) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.byteAlignedOK(); err != nil {
 		return nil, err
 	}
+	if search == SearchBrute {
+		search = searchIndexed
+	}
 	m := newMatcher(search, &cfg, src)
 	defer m.release()
-	w := NewByteAlignedWriter(&cfg, make([]byte, 0, len(src)/2+16))
+	w := NewByteAlignedWriter(&cfg, dst)
 	for pos := 0; pos < len(src); {
 		match := m.find(pos, stats)
 		if match.Length >= cfg.MinMatch {

@@ -1,6 +1,9 @@
 package lzss
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // HashMatcher is a hash-chain longest-match searcher: the paper's §VII
 // "improved searching with better search algorithms" future-work item.
@@ -158,12 +161,17 @@ func (s Search) String() string {
 	}
 }
 
-// matcher adapts both strategies behind one greedy-tokenizer-facing shape.
+// searchIndexed is SearchBrute for the byte-aligned greedy encoder: the
+// sliding windowIndex returns the word scan's matches and counters.
+const searchIndexed Search = -1
+
+// matcher adapts the strategies behind one greedy-tokenizer-facing shape.
 type matcher struct {
 	search Search
 	cfg    *Config
 	data   []byte
 	hm     *HashMatcher
+	wi     *windowIndex
 	// nextInsert tracks which positions the hash matcher has indexed.
 	nextInsert int
 }
@@ -175,8 +183,12 @@ type matcher struct {
 var hashMatchers sync.Pool
 
 func newMatcher(search Search, cfg *Config, data []byte) *matcher {
+	if search == searchIndexed && len(data) >= math.MaxInt32 {
+		search = SearchBrute // beyond the index's int32 positions
+	}
 	m := &matcher{search: search, cfg: cfg, data: data}
-	if search == SearchHashChain {
+	switch search {
+	case SearchHashChain:
 		hm, _ := hashMatchers.Get().(*HashMatcher)
 		if hm == nil {
 			hm = NewHashMatcher(*cfg)
@@ -184,23 +196,33 @@ func newMatcher(search Search, cfg *Config, data []byte) *matcher {
 		hm.cfg, hm.maxChain = *cfg, DefaultMaxChain
 		hm.Reset(data)
 		m.hm = hm
+	case searchIndexed:
+		m.wi = windowIndexes.Get().(*windowIndex)
+		m.wi.reset(cfg, data)
 	}
 	return m
 }
 
-// release returns the hash matcher to the pool; m must not be used after.
+// release returns the pooled search state; m must not be used after.
 func (m *matcher) release() {
 	if m.hm != nil {
 		m.hm.data = nil
 		hashMatchers.Put(m.hm)
+	}
+	if m.wi != nil {
+		m.wi.cfg, m.wi.data = nil, nil
+		windowIndexes.Put(m.wi)
 	}
 }
 
 // find returns the longest match at pos, ensuring hash chains cover every
 // position before pos.
 func (m *matcher) find(pos int, stats *SearchStats) Match {
-	if m.search == SearchBrute {
+	switch m.search {
+	case SearchBrute:
 		return LongestMatch(m.data, pos, pos-m.cfg.Window, m.cfg, stats)
+	case searchIndexed:
+		return m.wi.longestMatch(pos, stats)
 	}
 	for ; m.nextInsert < pos; m.nextInsert++ {
 		m.hm.Insert(m.nextInsert)

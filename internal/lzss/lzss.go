@@ -80,13 +80,17 @@ const maxFieldBits = 16
 // fits the bit-packed token's fields; byteAlignedOK checks the narrower
 // byte-aligned token. No encoder writes a field wider than maxFieldBits,
 // and no decoder accepts one: a length field of a header's choosing would
-// let one coded token claim any amount of output.
+// let one coded token claim any amount of output. MinMatch must fit the
+// container header, or an encoder would write a stream no decoder reads.
 func (c Config) Validate() error {
 	if c.Window < 1 {
 		return fmt.Errorf("lzss: window %d < 1", c.Window)
 	}
 	if c.MinMatch < 2 {
 		return fmt.Errorf("lzss: min match %d < 2", c.MinMatch)
+	}
+	if c.MinMatch > 255 {
+		return fmt.Errorf("lzss: min match %d does not fit the header's 8-bit field", c.MinMatch)
 	}
 	if c.MaxMatch < c.MinMatch {
 		return fmt.Errorf("lzss: max match %d < min match %d", c.MaxMatch, c.MinMatch)

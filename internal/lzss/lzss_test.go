@@ -31,6 +31,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{Window: 1, MaxMatch: 1<<16 + 3, MinMatch: 3},     // 17-bit length
 		{Window: 1, MaxMatch: 1 << 34, MinMatch: 3},       // 34-bit length
 		{Window: 1 << 40, MaxMatch: 1 << 40, MinMatch: 3}, // what a header may claim
+		{Window: 4096, MaxMatch: 400, MinMatch: 300},      // beyond the header's 8-bit field
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -39,6 +40,9 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 	if err := (Config{Window: 1 << 16, MaxMatch: 1<<16 + 2, MinMatch: 3}).Validate(); err != nil {
 		t.Errorf("Validate refused 16-bit fields: %v", err)
+	}
+	if err := (Config{Window: 4096, MaxMatch: 400, MinMatch: 255}).Validate(); err != nil {
+		t.Errorf("Validate refused the widest MinMatch the header holds: %v", err)
 	}
 	tooWide := Config{Window: 512, MaxMatch: 18, MinMatch: 3}
 	if err := tooWide.byteAlignedOK(); err == nil {

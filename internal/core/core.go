@@ -61,8 +61,9 @@ type Params struct {
 	// circuit breakers and the watchdog, re-dispatching failures and
 	// degrading to the byte-identical host encoder when the whole pool is
 	// quarantined. The streaming Writer additionally reports the
-	// supervisor's counters through Stats. Nil keeps the legacy
-	// single-device fail-fast dispatch.
+	// supervisor's counters through Stats. Nil keeps single-device
+	// dispatch under the retry policy (StreamOptions.Retry, or its
+	// defaults for Compress).
 	Health *health.Supervisor
 	// Obs, when non-nil, mirrors the run into the observability layer
 	// (internal/obs): the GPU paths report launch counters and stage
@@ -111,8 +112,10 @@ func (p *Params) lzssConfig(cfg lzss.Config, gpuKernel bool) (lzss.Config, error
 // "bzip2", "raw"), or with the engine codec.SelectCodec picks for data
 // when name is codec.Auto or empty. The returned buffer is a
 // self-describing container; the report is nil for host engines and for
-// a degraded run. Accelerated engines ride the supervised dispatch
-// ladder when Params.Health is armed.
+// a degraded run. Accelerated engines ride the gpu ladder at its default
+// RetryPolicy — the supervised pool walk when Params.Health is armed, up
+// to three device attempts otherwise — and degrade to the engine's
+// byte-identical host twin.
 func Compress(data []byte, name string, p Params) ([]byte, *gpu.Report, error) {
 	eng, err := resolveEngine(name, data)
 	if err != nil {
@@ -123,8 +126,8 @@ func Compress(data []byte, name string, p Params) ([]byte, *gpu.Report, error) {
 		return nil, nil, err
 	}
 	if eng.Accelerated() {
-		cont, rep, _, err := gpu.CompressSupervised(eng, data, opts, -1, "compress")
-		return cont, rep, err
+		o, err := gpu.CompressSupervised(eng, data, opts, RetryPolicy{}, -1, "compress")
+		return o.Container, o.Report, err
 	}
 	return eng.Compress(data, opts)
 }

@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"culzss/internal/codec"
+	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
 	"culzss/internal/format"
+	"culzss/internal/gpu"
 )
 
 func genText(n int, seed int64) []byte {
@@ -158,6 +163,37 @@ func TestDecompressDispatchesBZip2(t *testing.T) {
 func TestDecompressRejectsGarbage(t *testing.T) {
 	if _, err := Decompress([]byte("not a container"), Params{}); err == nil {
 		t.Fatal("accepted garbage")
+	}
+}
+
+// TestCompressOneShotDegradesWithoutHealth: with no supervisor, a one-shot
+// call on an accelerated codec rides the default retry ladder — three
+// device attempts, then the byte-identical host twin — instead of failing
+// on the first device error.
+func TestCompressOneShotDegradesWithoutHealth(t *testing.T) {
+	input := datasets.CFiles(64<<10, 59)
+	want, err := gpu.CompressV1CPU(input, gpu.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var launches atomic.Int32
+	dev := cudasim.FermiGTX480()
+	dev.LaunchHook = func(ctx context.Context, kernel string) error {
+		launches.Add(1)
+		return errors.New("injected: device fell off the bus")
+	}
+	got, rep, err := Compress(input, "v1", Params{Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != nil {
+		t.Fatal("degraded one-shot call returned a device report")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("one-shot container differs from the host twin's")
+	}
+	if n := launches.Load(); n != 3 {
+		t.Fatalf("%d device launches, want the default ladder's 3", n)
 	}
 }
 

@@ -37,7 +37,7 @@ func observeReport(reg *obs.Registry, op string, rep *Report) {
 // annotated with the attempt count and the retry/degrade/timeout
 // outcome, and keeps the dispatch counters. res.Device is -1 for a CPU
 // degrade, matching the span convention.
-func observeDispatch(reg *obs.Registry, op string, res dispatchResult, err error, sp *obs.ActiveSpan) {
+func observeDispatch(reg *obs.Registry, op string, res Outcome, err error, sp *obs.ActiveSpan) {
 	if reg == nil {
 		return
 	}

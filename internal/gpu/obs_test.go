@@ -127,7 +127,7 @@ func TestDispatchSpanAnnotations(t *testing.T) {
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour, Obs: reg})
 
-	_, _, _, err := CompressSupervised(engineV1{}, input, Options{Health: sup, Obs: reg}, 0, "probe")
+	_, err := CompressSupervised(engineV1{}, input, Options{Health: sup, Obs: reg}, RetryPolicy{}, 0, "probe")
 	if err != nil {
 		t.Fatal(err)
 	}

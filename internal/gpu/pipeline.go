@@ -75,7 +75,7 @@ func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report
 			// Supervised: the slice rides the device pool (redispatch on
 			// failure, CPU degrade when the pool is out) so one sick
 			// device cannot stall the stream.
-			var res dispatchResult
+			var res Outcome
 			res, err = dispatch(engineV1{}, opts.Health, slice, opts, -1, fmt.Sprintf("stream %d", s))
 			cont, rep, degraded = res.Container, res.Report, res.Degraded
 		} else {

@@ -99,7 +99,8 @@ func TestCompressSupervisedV2RedispatchesAndDegrades(t *testing.T) {
 		{Device: deadDevice()},
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err := CompressSupervised(testEngineV2{}, input, Options{Health: sup}, 0, "v2 work")
+	o, err := CompressSupervised(testEngineV2{}, input, Options{Health: sup}, RetryPolicy{}, 0, "v2 work")
+	got, rep, degraded := o.Container, o.Report, o.Degraded
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,8 @@ func TestCompressSupervisedV2RedispatchesAndDegrades(t *testing.T) {
 		{Device: deadDevice()},
 		{Device: deadDevice()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err = CompressSupervised(testEngineV2{}, input, Options{Health: allDead}, -1, "v2 work")
+	o, err = CompressSupervised(testEngineV2{}, input, Options{Health: allDead}, RetryPolicy{}, -1, "v2 work")
+	got, rep, degraded = o.Container, o.Report, o.Degraded
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"culzss/internal/format"
 	"culzss/internal/lzss"
@@ -30,43 +28,23 @@ func CompressV1CPU(data []byte, opts Options) ([]byte, error) {
 		return nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
 	}
 
+	// Chunk streams go into the V1 lanes' pooled buckets, released once
+	// the container holds a copy.
 	chunks := format.SplitChunks(data, opts.ChunkSize)
+	bucketCap := lzss.MaxEncodedLenByteAligned(opts.ChunkSize)
 	streams := make([][]byte, len(chunks))
+	buckets := make([]*[]byte, len(chunks))
+	defer releaseBuckets(buckets)
 	statsPer := make([]lzss.SearchStats, len(chunks))
-
-	workers := opts.HostWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var rec faultRecorder
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				if rec.tripped() {
-					continue
-				}
-				comp, err := lzss.EncodeByteAligned(chunks[ci], cfg, lzss.SearchBrute, &statsPer[ci])
-				if err != nil {
-					rec.record(ci, fmt.Errorf("gpu: cpu-fallback chunk %d: %w", ci, err))
-					continue
-				}
-				streams[ci] = comp
-			}
-		}()
-	}
-	for ci := range chunks {
-		next <- ci
-	}
-	close(next)
-	wg.Wait()
-	if err := rec.error(); err != nil {
+	if err := hostChunks(0, len(chunks), opts.HostWorkers, func(ci int) error {
+		buckets[ci] = getBucket(bucketCap)
+		comp, err := lzss.AppendEncodedByteAligned((*buckets[ci])[:0], chunks[ci], cfg, lzss.SearchBrute, &statsPer[ci])
+		if err != nil {
+			return fmt.Errorf("gpu: cpu-fallback chunk %d: %w", ci, err)
+		}
+		*buckets[ci], streams[ci] = comp, comp
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	if opts.Stats != nil {

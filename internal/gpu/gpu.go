@@ -41,6 +41,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,6 +226,37 @@ func (r *faultRecorder) error() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
+}
+
+// hostChunks is the host chunk pool behind the degrade twins and
+// hybrid's CPU share: it runs encode on every chunk index in [lo, hi)
+// over up to workers goroutines (0 means GOMAXPROCS), starts no further
+// chunk once one has failed, and returns the failure with the lowest
+// chunk index.
+func hostChunks(lo, hi, workers int, encode func(ci int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var rec faultRecorder
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, hi-lo); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !rec.tripped() {
+				ci := lo + int(claimed.Add(1)) - 1
+				if ci >= hi {
+					return
+				}
+				if err := encode(ci); err != nil {
+					rec.record(ci, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return rec.error()
 }
 
 func (o *Options) fill(version format.Codec) {

@@ -2,8 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"culzss/internal/format"
 	"culzss/internal/lzss"
@@ -39,41 +37,15 @@ func CompressV2CPU(data []byte, opts Options) ([]byte, error) {
 	defer releaseV2Records(recs)
 	streams := make([][]byte, len(chunks))
 	statsPer := make([]lzss.SearchStats, len(chunks))
-
-	workers := opts.HostWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var fault faultRecorder
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				if fault.tripped() {
-					continue
-				}
-				recs[ci] = getV2Records(len(chunks[ci]))
-				comp, err := encodeV2Chunk(chunks[ci], &cfg, tpb, recs[ci], &statsPer[ci])
-				if err != nil {
-					fault.record(ci, fmt.Errorf("gpu: v2 cpu-fallback chunk %d: %w", ci, err))
-					continue
-				}
-				streams[ci] = comp
-			}
-		}()
-	}
-	for ci := range chunks {
-		next <- ci
-	}
-	close(next)
-	wg.Wait()
-	if err := fault.error(); err != nil {
+	if err := hostChunks(0, len(chunks), opts.HostWorkers, func(ci int) error {
+		recs[ci] = getV2Records(len(chunks[ci]))
+		comp, err := encodeV2Chunk(chunks[ci], &cfg, tpb, recs[ci], &statsPer[ci])
+		if err != nil {
+			return fmt.Errorf("gpu: v2 cpu-fallback chunk %d: %w", ci, err)
+		}
+		streams[ci] = comp
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	if opts.Stats != nil {

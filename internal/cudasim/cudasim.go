@@ -8,7 +8,8 @@
 // depend on:
 //
 //   - the grid/block/thread hierarchy with 32-wide warps;
-//   - barrier synchronisation inside a block (SyncThreads);
+//   - barrier synchronisation inside a block (the implicit barrier
+//     between bulk-synchronous phases);
 //   - shared memory with a per-block size budget and a 32-bank conflict
 //     model;
 //   - global memory with per-warp coalescing analysis (how many 128-byte
@@ -20,14 +21,10 @@
 //     assignment of blocks to streaming multiprocessors;
 //   - host↔device transfer cost over a PCIe bandwidth/latency model.
 //
-// # Two execution engines
+// # Execution engine
 //
-// Launch (launch.go) runs every thread as a goroutine with real barriers —
-// the reference engine, suitable for arbitrary kernels and used to validate
-// barrier/atomic semantics.
-//
-// LaunchPhased (phased.go) is the bulk-synchronous engine the compression
-// kernels use: a kernel is a function over a BlockCtx that alternates
+// LaunchPhased (phased.go) is the bulk-synchronous engine every kernel
+// launches through: a kernel is a function over a BlockCtx that alternates
 // Parallel(perThread) phases; the barrier between phases is implicit. This
 // executes as plain loops (no goroutine per thread), which keeps the
 // functional simulation fast, while per-thread cycle and memory-access
@@ -109,15 +106,15 @@ type Device struct {
 	// exists for exactly this rule; the bank-skew ablation uses it.
 	LegacyBankSemantics bool
 
-	// LaunchHook, when non-nil, runs before every kernel launch (both
-	// engines); a non-nil error aborts the launch without executing any
-	// block, modeling a driver or device launch failure. The context is
-	// the launch's (LaunchConfig.Context for the phased engine,
-	// context.Background() for the goroutine engine): a hook that blocks
-	// — the fault-injection layer's hang rule, modeling a wedged kernel —
-	// must select on it so a watchdog cancelling the launch unwedges the
-	// hook promptly. The fault injection suite (internal/faults) plugs in
-	// here; production devices leave it nil.
+	// LaunchHook, when non-nil, runs before every kernel launch; a
+	// non-nil error aborts the launch without executing any block,
+	// modeling a driver or device launch failure. The context is the
+	// launch's (LaunchConfig.Context, or context.Background() when nil):
+	// a hook that blocks — the fault-injection layer's hang rule,
+	// modeling a wedged kernel — must select on it so a watchdog
+	// cancelling the launch unwedges the hook promptly. The fault
+	// injection suite (internal/faults) plugs in here; production
+	// devices leave it nil.
 	LaunchHook func(ctx context.Context, kernel string) error
 }
 

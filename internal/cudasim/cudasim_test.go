@@ -312,80 +312,6 @@ func TestLaunchPhasedStrided(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineReduction(t *testing.T) {
-	d := FermiGTX480()
-	const blocks, tpb = 8, 64
-	results := make([]int32, blocks)
-	err := d.Launch(blocks, tpb, tpb, 0, func(t *GThread) {
-		// Classic tree reduction over shared memory: sum of thread ids.
-		t.Shared[t.ThreadIdx] = int32(t.ThreadIdx)
-		t.SyncThreads()
-		for s := t.BlockDim / 2; s > 0; s /= 2 {
-			if t.ThreadIdx < s {
-				t.Shared[t.ThreadIdx] += t.Shared[t.ThreadIdx+s]
-			}
-			t.SyncThreads()
-		}
-		if t.ThreadIdx == 0 {
-			results[t.BlockIdx] = t.Shared[0]
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int32(tpb * (tpb - 1) / 2)
-	for b, r := range results {
-		if r != want {
-			t.Fatalf("block %d sum = %d, want %d", b, r, want)
-		}
-	}
-}
-
-func TestGoroutineEngineAtomics(t *testing.T) {
-	d := FermiGTX480()
-	var counter, maxSeen int32
-	err := d.Launch(4, 128, 0, 0, func(t *GThread) {
-		t.AtomicAdd(&counter, 1)
-		t.AtomicMax(&maxSeen, int32(t.BlockIdx*1000+t.ThreadIdx))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counter != 4*128 {
-		t.Fatalf("counter = %d, want %d", counter, 4*128)
-	}
-	if maxSeen != 3*1000+127 {
-		t.Fatalf("maxSeen = %d", maxSeen)
-	}
-}
-
-func TestGoroutineEnginePanicRecovered(t *testing.T) {
-	d := FermiGTX480()
-	err := d.Launch(2, 32, 0, 0, func(t *GThread) {
-		if t.BlockIdx == 1 && t.ThreadIdx == 7 {
-			panic("lane fault")
-		}
-		t.SyncThreads() // peers must not deadlock
-	})
-	if err == nil || !strings.Contains(err.Error(), "lane fault") {
-		t.Fatalf("err = %v, want recovered panic", err)
-	}
-}
-
-func TestGoroutineEngineRejectsBadShapes(t *testing.T) {
-	d := FermiGTX480()
-	noop := func(t *GThread) {}
-	if err := d.Launch(1, 0, 0, 0, noop); err == nil {
-		t.Fatal("accepted zero threads")
-	}
-	if err := d.Launch(1, 4096, 0, 0, noop); err == nil {
-		t.Fatal("accepted oversize block")
-	}
-	if err := d.Launch(1, 32, 1<<20, 0, noop); err == nil {
-		t.Fatal("accepted oversize shared")
-	}
-}
-
 func TestKernelTimeRespectsBandwidthFloor(t *testing.T) {
 	d := FermiGTX480()
 	// A kernel that moves lots of bytes with almost no compute must be

@@ -2,7 +2,6 @@ package cudasim
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -120,56 +119,6 @@ func TestStridedBoundsFaults(t *testing.T) {
 			b.GlobalReadStrided(buf, g, 0, 2, 1, 32)
 		}); err == nil {
 		t.Fatal("undersized dst not faulted")
-	}
-}
-
-// TestGoroutineEngineHistogram exercises atomics under real concurrency.
-func TestGoroutineEngineHistogram(t *testing.T) {
-	d := FermiGTX480()
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i % 16)
-	}
-	var hist [16]int32
-	err := d.Launch(8, 128, 0, 0, func(g *GThread) {
-		base := g.BlockIdx * 512
-		for i := g.ThreadIdx; i < 512; i += g.BlockDim {
-			g.AtomicAdd(&hist[data[base+i]], 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range hist {
-		if c != 256 {
-			t.Fatalf("hist[%d] = %d, want 256", v, c)
-		}
-	}
-}
-
-// TestGoroutineEngineBarrierPhases checks that barriers order cross-thread
-// visibility over multiple phases.
-func TestGoroutineEngineBarrierPhases(t *testing.T) {
-	d := FermiGTX480()
-	const tpb = 64
-	var violations atomic.Int32
-	err := d.Launch(4, tpb, tpb, 0, func(g *GThread) {
-		for phase := int32(1); phase <= 8; phase++ {
-			g.Shared[g.ThreadIdx] = phase
-			g.SyncThreads()
-			// Every peer must have published this phase's value.
-			peer := (g.ThreadIdx + 17) % g.BlockDim
-			if g.Shared[peer] != phase {
-				violations.Add(1)
-			}
-			g.SyncThreads()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations.Load() != 0 {
-		t.Fatalf("%d barrier visibility violations", violations.Load())
 	}
 }
 

@@ -205,8 +205,8 @@ func (b *BlockCtx) Fault(err error) {
 // Parallel runs fn once per thread in the block. Threads within a phase are
 // semantically concurrent: a correct kernel must not depend on the order in
 // which lanes run, and writes by one lane are visible to others only in the
-// next phase (the implicit barrier between phases is the SyncThreads of
-// the bulk-synchronous model). The lanes run one after another on one
+// next phase (the implicit barrier between phases is CUDA's __syncthreads
+// in the bulk-synchronous model). The lanes run one after another on one
 // reused ThreadCtx, so t is valid only until fn returns.
 func (b *BlockCtx) Parallel(fn func(t *ThreadCtx)) {
 	if b.lanes == nil {

@@ -72,35 +72,6 @@ func modeledSegmentCost(sr core.SegmentReport, saturated bool) (time.Duration, b
 	return 0, false
 }
 
-// writerMakespan schedules per-segment compress costs through the
-// Writer's pipeline shape — `workers` encode workers feeding a serial
-// in-order emitter — and returns the modeled total. Segment i starts on
-// the earliest-free worker; the emitter writes frames in index order, so
-// frame i's emit cost is paid after both its compress finishes and every
-// earlier frame has been emitted. The mirror of pipelineMakespan.
-func writerMakespan(compress, emit []time.Duration, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	free := make([]time.Duration, workers)
-	var emitDone time.Duration
-	for i := range compress {
-		w := 0
-		for j := 1; j < workers; j++ {
-			if free[j] < free[w] {
-				w = j
-			}
-		}
-		end := free[w] + compress[i]
-		free[w] = end
-		if end > emitDone {
-			emitDone = end
-		}
-		emitDone += emit[i]
-	}
-	return emitDone
-}
-
 // WriterCodecCells benchmarks the framed Writer routed through each
 // named codec over the C-files corpus and returns one BenchCell per
 // route (System "Writer <name>"). Only the device-reporting routes — the
@@ -129,7 +100,7 @@ func WriterCodecCells(cfg Config, names []string) ([]BenchCell, error) {
 			compress[i] = c
 			emit[i] = cyclesToDuration(float64(sr.FrameLen) * cyclesPerFrameByte)
 		}
-		total := writerMakespan(compress, emit, writerBenchWorkers)
+		total := pipelineMakespan(nil, compress, emit, writerBenchWorkers)
 		cells = append(cells, BenchCell{
 			Dataset:  "C files",
 			System:   "Writer " + name,

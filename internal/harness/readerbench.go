@@ -84,7 +84,7 @@ func ReaderDecodeCells(cfg Config, workerCounts []int) ([]BenchCell, error) {
 
 	var cells []BenchCell
 	for _, workers := range workerCounts {
-		total := pipelineMakespan(read, decode, workers)
+		total := pipelineMakespan(read, decode, nil, workers)
 		cells = append(cells, BenchCell{
 			Dataset:  "C files",
 			System:   fmt.Sprintf("Reader %dw", workers),
@@ -96,39 +96,40 @@ func ReaderDecodeCells(cfg Config, workerCounts []int) ([]BenchCell, error) {
 	return cells, nil
 }
 
-// pipelineMakespan schedules per-segment (read, decode) costs through
-// the Reader's pipeline shape — a serial prefetcher feeding `workers`
-// decode workers with in-order delivery — and returns the modeled total:
-// each segment becomes available when the prefetcher reaches it
-// (cumulative read cost), starts on the earliest-free worker, and the
-// stream completes when the last segment's decode does. Deterministic
+// pipelineMakespan schedules per-segment costs through the stream
+// pipeline's shape — a serial stage feeding `workers` workers, and a
+// serial in-order stage after them — and returns the modeled total. It
+// serves both directions: the Reader passes read (its prefetcher's
+// frame reads) and no emit, the Writer emit (its emitter's frame writes)
+// and no read. Segment i becomes available once the read stage reaches
+// it (cumulative read cost), starts on the earliest-free worker, and its
+// emit is paid after both its work and every earlier emit. Deterministic
 // greedy assignment; with workers == 1 this degenerates to the serial
-// sum, so speedup ratios are self-consistent.
-func pipelineMakespan(read, decode []time.Duration, workers int) time.Duration {
+// schedule, so speedup ratios are self-consistent.
+func pipelineMakespan(read, work, emit []time.Duration, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}
 	free := make([]time.Duration, workers)
-	var readDone, finish time.Duration
-	for i := range read {
-		readDone += read[i]
+	var readDone, done time.Duration
+	for i := range work {
+		if read != nil {
+			readDone += read[i]
+		}
 		w := 0
 		for j := 1; j < workers; j++ {
 			if free[j] < free[w] {
 				w = j
 			}
 		}
-		start := readDone
-		if free[w] > start {
-			start = free[w]
-		}
-		end := start + decode[i]
+		end := max(readDone, free[w]) + work[i]
 		free[w] = end
-		if end > finish {
-			finish = end
+		done = max(done, end)
+		if emit != nil {
+			done += emit[i]
 		}
 	}
-	return finish
+	return done
 }
 
 // ExtensionParallelDecode is the ablation table for the Reader's decode

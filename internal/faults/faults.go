@@ -14,9 +14,8 @@
 // the injector's mutex, so the *set* of injected faults is deterministic,
 // while *which* goroutine observes a given fault depends on scheduling;
 // tests that need a specific chunk to fault pin HostWorkers to 1 (serial
-// attempt order) or use rules that fault every attempt. The CI fault
-// matrix pins the seed through CULZSS_FAULT_SEED so recovery regressions
-// reproduce exactly.
+// attempt order) or use rules that fault every attempt. CI's pinned-seed
+// job sets CULZSS_FAULT_SEED so recovery regressions reproduce exactly.
 //
 // # Wiring
 //

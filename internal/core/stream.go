@@ -470,7 +470,7 @@ func (w *Writer) start() {
 	// A resumed stream already carries its header; emitting another would
 	// corrupt it mid-stream.
 	if w.opts.Resume == nil {
-		if _, err := format.WriteStreamHeader(w.dst, w.segSize); err != nil {
+		if _, err := w.dst.Write(format.AppendStreamHeader(make([]byte, 0, 16), w.segSize)); err != nil {
 			w.setErr(fmt.Errorf("core: writing stream header: %w", err))
 		}
 	}
@@ -528,21 +528,15 @@ func (w *Writer) emitter() {
 			if w.met.tracer != nil {
 				sp = w.met.tracer.Start(fmt.Sprintf("segment %d", job.index), "frame-emit")
 			}
-			var n int
-			var err error
-			if w.opts.Parity.K > 0 {
-				// Parity covers the exact frame bytes, so build the frame
-				// once and both write and retain the same encoding.
-				enc := format.AppendSegmentFrame(nil, job.index, len(job.data), res.container)
-				n, err = w.dst.Write(enc)
-				if err == nil {
-					w.parityGroup = append(w.parityGroup, enc)
-					if len(w.parityGroup) == w.opts.Parity.K {
-						err = w.emitParity()
-					}
+			// One record per Write. Parity covers the exact frame bytes,
+			// so a parity stream retains the encoding it wrote.
+			enc := format.AppendSegmentFrame(make([]byte, 0, 24+len(res.container)), job.index, len(job.data), res.container)
+			n, err := w.dst.Write(enc)
+			if err == nil && w.opts.Parity.K > 0 {
+				w.parityGroup = append(w.parityGroup, enc)
+				if len(w.parityGroup) == w.opts.Parity.K {
+					err = w.emitParity()
 				}
-			} else {
-				n, err = format.WriteSegmentFrame(w.dst, job.index, len(job.data), res.container)
 			}
 			sp.End(err)
 			w.met.bytesOut.Add(int64(n))
@@ -584,7 +578,7 @@ func (w *Writer) emitParity() error {
 		return err
 	}
 	for _, pf := range pfs {
-		if _, err := format.WriteParityFrame(w.dst, pf); err != nil {
+		if _, err := w.dst.Write(format.AppendParityFrame(make([]byte, 0, pf.EncodedLen()), pf)); err != nil {
 			return err
 		}
 	}
@@ -816,7 +810,7 @@ func (w *Writer) Close() error {
 		return err
 	}
 	trailer := &format.StreamTrailer{Segments: w.index, TotalLen: w.total, Checksum: w.crc}
-	if _, err := format.WriteStreamTrailer(w.dst, trailer); err != nil {
+	if _, err := w.dst.Write(format.AppendStreamTrailer(make([]byte, 0, 16), trailer)); err != nil {
 		w.setErr(fmt.Errorf("core: writing stream trailer: %w", err))
 	}
 	return w.err()

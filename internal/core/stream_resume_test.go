@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -15,44 +14,21 @@ import (
 // writer can append into).
 func frameBoundaries(t *testing.T, stream []byte) []int64 {
 	t.Helper()
-	cr := &countingStreamReader{r: bufio.NewReader(bytes.NewReader(stream))}
-	fr, err := format.NewFrameReader(cr)
+	fr, err := format.NewFrameReader(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := []int64{cr.n}
+	bounds := []int64{fr.Offset()}
 	for {
-		seg, trailer, err := fr.Next()
+		_, trailer, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if trailer != nil {
 			return bounds
 		}
-		_ = seg
-		bounds = append(bounds, cr.n)
+		bounds = append(bounds, fr.Offset())
 	}
-}
-
-// countingStreamReader implements io.Reader+io.ByteReader so NewFrameReader
-// uses it directly and n tracks the exact consumed offset.
-type countingStreamReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingStreamReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingStreamReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
 }
 
 func TestWriterResumeByteIdentical(t *testing.T) {

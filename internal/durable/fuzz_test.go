@@ -2,6 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"culzss/internal/core"
@@ -61,6 +64,32 @@ func TestScanTailTruncateEveryByte(t *testing.T) {
 		if rep.Complete != (cut == len(ref)) {
 			t.Fatalf("cut %d: Complete = %v", cut, rep.Complete)
 		}
+	}
+}
+
+// TestScanTailBoundsFrameClaimByInput: a 31-byte stream whose header
+// declares 1 GiB segments, and whose one frame claims a 1 GiB container,
+// is a stream cut after its header. ScanTail reports it as such, with
+// ErrTruncated as the Cause, without allocating what the frame claims.
+func TestScanTailBoundsFrameClaimByInput(t *testing.T) {
+	stream := format.AppendStreamHeader(nil, 1<<30)
+	header := len(stream)
+	stream = append(stream, 0x01, 0)             // segment marker, index
+	stream = binary.AppendUvarint(stream, 1<<30) // rawLen
+	stream = binary.AppendUvarint(stream, 1<<30) // compLen
+	stream = append(stream, 0xde, 0xad, 0xbe, 0xef, 0xaa, 0xaa, 0xaa, 0xaa)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := ScanTail(bytes.NewReader(stream), core.Params{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rep.Cause, format.ErrTruncated) || !rep.HeaderOK || rep.LastGoodOffset != int64(header) {
+		t.Fatalf("report %+v, want the header kept and Cause ErrTruncated", rep)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("%d-byte stream claiming a 1 GiB container allocated %d bytes", len(stream), alloc)
 	}
 }
 

@@ -3,7 +3,6 @@
 package durable
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -70,29 +69,6 @@ func (t *TailReport) ResumeState() *core.ResumeState {
 	}
 }
 
-// countReader counts consumed bytes and exposes io.ByteReader so the
-// frame reader uses it directly — n is then the exact stream offset of
-// the parse position, with no buffered over-read hidden inside the
-// decoder.
-type countReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
 // ScanTail walks an interrupted (possibly trailer-less) framed stream
 // from the start, fully verifying each record — frame CRC, decode, raw
 // length — and reports the last good offset plus the stream state at it.
@@ -109,8 +85,7 @@ func ScanTail(r io.ReadSeeker, p core.Params) (*TailReport, error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	cr := &countReader{r: bufio.NewReader(r)}
-	fr, err := format.NewFrameReader(cr)
+	fr, err := format.NewFrameReader(r)
 	if err != nil {
 		if errors.Is(err, format.ErrTruncated) {
 			// Cut inside the header: no usable prefix, start over.
@@ -118,7 +93,7 @@ func ScanTail(r io.ReadSeeker, p core.Params) (*TailReport, error) {
 		}
 		return nil, err
 	}
-	rep := &TailReport{HeaderOK: true, SegmentSize: fr.SegmentSize, LastGoodOffset: cr.n}
+	rep := &TailReport{HeaderOK: true, SegmentSize: fr.SegmentSize, LastGoodOffset: fr.Offset()}
 	// Trailing-parity rule: a parity run is a resume point only when it is
 	// complete and covers a full-size group (k == the stream's K). A short
 	// run is the tail parity of an interrupted Close — keeping it would
@@ -130,7 +105,7 @@ func ScanTail(r io.ReadSeeker, p core.Params) (*TailReport, error) {
 	trackGroup := true
 	fr.OnParity = func(pf *format.ParityFrame) {
 		if pf.J == pf.M-1 && pf.K == fr.ParityK {
-			rep.LastGoodOffset = cr.n
+			rep.LastGoodOffset = fr.Offset()
 			group = group[:0]
 		}
 	}
@@ -147,7 +122,7 @@ func ScanTail(r io.ReadSeeker, p core.Params) (*TailReport, error) {
 				break
 			}
 			rep.Complete = true
-			rep.LastGoodOffset = cr.n
+			rep.LastGoodOffset = fr.Offset()
 			break
 		}
 		raw, err := core.Decompress(seg.Container, p)
@@ -163,7 +138,7 @@ func ScanTail(r io.ReadSeeker, p core.Params) (*TailReport, error) {
 		rep.CRC = format.Checksum32Update(rep.CRC, raw)
 		rep.TotalLen += len(raw)
 		rep.NextIndex++
-		rep.LastGoodOffset = cr.n
+		rep.LastGoodOffset = fr.Offset()
 		if trackGroup {
 			group = append(group, format.AppendSegmentFrame(nil, seg.Index, seg.RawLen, seg.Container))
 			if fr.ParityK == 0 && len(group) > format.MaxParityK {
@@ -199,8 +174,7 @@ func repairPartial(f *os.File, size int64) (int, error) {
 		off int64
 		enc []byte
 	}
-	cr := bufio.NewReader(io.NewSectionReader(f, 0, size))
-	fr, err := format.NewFrameReaderSalvage(cr)
+	fr, err := format.NewFrameReaderSalvage(io.NewSectionReader(f, 0, size))
 	if err != nil {
 		return 0, nil // unusable header; nothing to repair
 	}

@@ -42,7 +42,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"culzss/internal/ecc"
 )
@@ -106,12 +105,6 @@ func AppendParityFrame(dst []byte, pf *ParityFrame) []byte {
 	}
 	dst = binary.BigEndian.AppendUint32(dst, Checksum32(pf.Shard))
 	return append(dst, pf.Shard...)
-}
-
-// WriteParityFrame writes one parity frame to w and reports the bytes
-// written.
-func WriteParityFrame(w io.Writer, pf *ParityFrame) (int, error) {
-	return w.Write(AppendParityFrame(make([]byte, 0, pf.EncodedLen()), pf))
 }
 
 // BuildParityFrames computes the m parity frames for one group whose

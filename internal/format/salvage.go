@@ -1,5 +1,7 @@
-// Salvage-mode frame decoding: recover every intact segment of a damaged
-// framed stream instead of dying at the first bad byte.
+// Record parsing and salvage. Both FrameReader modes parse records out of
+// one sliding window over the source; salvage mode adds the recovery of
+// every intact segment of a damaged framed stream instead of dying at the
+// first bad byte.
 //
 // Normal-mode FrameReader semantics are fail-fast: any CRC mismatch,
 // out-of-order index, or mid-record truncation is sticky and the rest of
@@ -13,11 +15,11 @@
 // candidate is only accepted when it ends the stream exactly, which is
 // the position a legal trailer must occupy.
 //
-// The scan holds at most one candidate record in memory (O(segment)
-// bytes, the same bound as normal incremental decoding). Determinism:
-// salvage is a pure function of the input bytes — no randomness, no
-// scheduling dependence — so a given damaged stream always yields the
-// same recovered segments and the same error reports.
+// The window holds at most windowBound of the stream's container bound in
+// either mode: one candidate record plus the scan's chunk before it.
+// Determinism: salvage is a pure function of the input bytes — no
+// randomness, no scheduling dependence — so a given damaged stream always
+// yields the same recovered segments and the same error reports.
 package format
 
 import (
@@ -25,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // maxIndexGap bounds how far ahead a recovered segment index may jump
@@ -33,9 +36,52 @@ import (
 // plausible damage).
 const maxIndexGap = 1 << 20
 
-// readChunk is how much input one fill of the salvage window asks for,
-// and how far the rescan runs before it drops the bytes it has passed.
+// readChunk is the least input one fill of the window asks for, and how
+// far the rescan runs before it drops the bytes it has passed.
 const readChunk = 64 << 10
+
+// maxParityHeader is the longest parity-record header: marker, five
+// geometry varints, MaxParityK frame lengths and the CRC.
+const maxParityHeader = 1 + (5+MaxParityK)*binary.MaxVarintLen64 + 4
+
+// windowBound is the largest array the window of a stream with container
+// bound maxComp ever needs. A parse at window position pos reads ahead to
+// the end of one record, at most a parity frame's header and a shard of
+// maxComp+maxSegmentHeader bytes; the rescan keeps pos within readChunk;
+// and fill allocates less than one chunk past what the parse asked for.
+func windowBound(maxComp int) int {
+	return 2*readChunk + maxParityHeader + maxSegmentHeader + maxComp
+}
+
+// windowPool recycles window arrays between FrameReaders: a reader takes
+// one when it opens and hands its own back when Next reaches the trailer
+// or a sticky error, so a stream's window is allocated once per process
+// rather than once per stream.
+var windowPool sync.Pool // of *[]byte
+
+// putWindow hands a window array back to the pool.
+func putWindow(win []byte) {
+	if cap(win) > 0 {
+		windowPool.Put(&win)
+	}
+}
+
+// release hands the window back to the pool once the stream has ended.
+// Nothing Next returned shares it: containers and parity shards are
+// copied out of the window.
+func (fr *FrameReader) release() {
+	putWindow(fr.win)
+	fr.win, fr.buf = nil, nil
+}
+
+// endErr is why the input ended before a record did: the source's read
+// error, or else ErrTruncated.
+func (fr *FrameReader) endErr() error {
+	if fr.readErr != nil {
+		return fr.readErr
+	}
+	return ErrTruncated
+}
 
 // errNeedMore is the internal signal that a record parse ran out of
 // buffered bytes before the record was complete.
@@ -98,50 +144,21 @@ func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 // damaged region, keeps delivering the intact segments around it, and
 // ends with either the trailer, io.EOF, or ErrTruncated.
 func NewFrameReaderSalvage(r io.Reader) (*FrameReader, error) {
-	fr := &FrameReader{salvage: true, src: r, parityGroupFirst: -1}
-	if !fr.ensure(len(StreamMagic)) {
-		if fr.readErr != nil {
-			return nil, fr.readErr
-		}
-		return nil, ErrTruncated
-	}
-	if string(fr.buf[:len(StreamMagic)]) != StreamMagic {
-		return nil, ErrBadStreamMagic
-	}
-	if !fr.ensure(len(StreamMagic) + 2) {
-		return nil, ErrTruncated
-	}
-	if v := fr.buf[len(StreamMagic)]; v != StreamVersion {
-		return nil, fmt.Errorf("%w: stream version %d", ErrBadVersion, v)
-	}
-	if f := fr.buf[len(StreamMagic)+1]; f != 0 {
-		return nil, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, f)
-	}
-	segSize, n, err := fr.varintAt(0, len(StreamMagic)+2)
-	if err != nil {
-		if errors.Is(err, errNeedMore) {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	fr.SegmentSize = segSize
-	fr.maxRaw, fr.maxComp = frameBound(segSize)
-	fr.consume(len(StreamMagic) + 2 + n)
-	return fr, nil
+	return newFrameReader(r, true)
 }
 
 // Corrupted reports whether salvage has recovered past at least one
 // damaged region so far.
 func (fr *FrameReader) Corrupted() bool { return fr.corrupted }
 
-// fill reads more input into the salvage window for a parse that needs
-// want live bytes, and reports whether any bytes were added. It reads
-// into the spare capacity behind the live bytes. When less than a read
-// chunk is left there, it first slides the live bytes to the front of
-// the array. Only when even that leaves less than a chunk does it move
-// them to a larger array, sized toward want but at most doubling, so the
-// window grows no faster than input arrives whatever a record claims.
-// The array never shrinks.
+// fill reads more input into the window for a parse that needs want
+// live bytes, and reports whether any bytes were added. It reads into the
+// spare capacity behind the live bytes, what the parse needs but at least
+// a chunk. When less than a read chunk is left there, it first slides the
+// live bytes to the front of the array. Only when even that leaves less
+// than a chunk does it move them to a larger array, sized toward want but
+// at most doubling, so the window grows no faster than input arrives
+// whatever a record claims. The array never shrinks.
 func (fr *FrameReader) fill(want int) bool {
 	if fr.eof {
 		return false
@@ -152,7 +169,7 @@ func (fr *FrameReader) fill(want int) bool {
 		}
 		fr.buf = fr.win[:copy(fr.win, fr.buf)]
 	}
-	n, err := fr.src.Read(fr.buf[len(fr.buf):cap(fr.buf)])
+	n, err := fr.src.Read(fr.buf[len(fr.buf):min(cap(fr.buf), max(want, len(fr.buf)+readChunk))])
 	fr.buf = fr.buf[:len(fr.buf)+n]
 	if err != nil {
 		fr.eof = true
@@ -204,7 +221,7 @@ func (fr *FrameReader) varintAt(pos, p int) (int, int, error) {
 	}
 }
 
-// record is one record parsed from the salvage window: exactly one of
+// record is one record parsed from the window: exactly one of
 // frame, trailer and parity is set, and n is its encoded length.
 type record struct {
 	frame   *SegmentFrame
@@ -252,19 +269,20 @@ func (fr *FrameReader) trySegment(pos int) (record, error) {
 		return record{}, reject(pos, func() error { return fr.errSegmentBound(rawLen, compLen) })
 	}
 	lo, hi := fr.nextIndex, fr.nextIndex+maxIndexGap
-	if rep := fr.rep; rep != nil && !rep.disabled {
+	switch rep := fr.rep; {
+	case !fr.salvage:
+		hi = lo // normal mode: the next index and no other
+	case rep != nil && !rep.disabled:
 		// Repair mode holds frames until their group closes, so the
 		// strict cursor can have been dragged ahead by an imposter
 		// (index-varint flip). Accept anything not yet delivered; the
 		// group buffer sorts out who is real.
 		lo = rep.deliverNext
-		if h := rep.maxSeen + 1 + maxIndexGap; h > hi {
-			hi = h
-		}
+		hi = max(hi, rep.maxSeen+1+maxIndexGap)
 	}
 	if index < lo || index > hi {
 		return record{}, reject(pos, func() error {
-			return fmt.Errorf("%w: got segment %d, want >= %d", ErrFrameOrder, index, lo)
+			return fmt.Errorf("%w: got segment %d, want %d", ErrFrameOrder, index, lo)
 		})
 	}
 	if !fr.ensure(p + 4 + compLen) {
@@ -276,7 +294,8 @@ func (fr *FrameReader) trySegment(pos int) (record, error) {
 	if Checksum32(container) != crc {
 		return record{}, reject(pos, func() error { return fmt.Errorf("%w: segment %d", ErrFrameChecksum, index) })
 	}
-	// Copy out: the window's backing array is reused as it slides.
+	// Copy out: the window's array is reused as it slides, and by the
+	// next stream once this one ends.
 	c := fr.lease(compLen)
 	copy(c, container)
 	return record{frame: &SegmentFrame{Index: index, RawLen: rawLen, Container: c, crc: crc}, n: p + compLen - pos}, nil
@@ -456,15 +475,12 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 			fr.noteParity(rec.parity)
 			return nil, nil, rec.parity, nil
 		}
-		f, t, aerr := fr.acceptSalvage(rec.frame, rec.trailer, startOff)
+		f, t, aerr := fr.acceptRecord(rec.frame, rec.trailer, startOff)
 		return f, t, nil, aerr
 	}
 	if errors.Is(err, errNeedMore) && len(fr.buf) == 0 {
 		// Clean record boundary at end of data but no trailer was seen.
-		if fr.readErr != nil {
-			return nil, nil, nil, fr.readErr
-		}
-		return nil, nil, nil, ErrTruncated
+		return nil, nil, nil, fr.endErr()
 	}
 
 	// Damage at the expected record position: rescan byte by byte for
@@ -532,10 +548,11 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 	}
 }
 
-// acceptSalvage applies index bookkeeping to a record parsed at the
-// expected boundary, turning clean index gaps (whole frames excised
-// without byte damage) into CorruptSegmentError reports too.
-func (fr *FrameReader) acceptSalvage(frame *SegmentFrame, trailer *StreamTrailer, startOff int64) (*SegmentFrame, *StreamTrailer, error) {
+// acceptRecord applies index bookkeeping to a record parsed at the
+// expected boundary (both modes), turning clean index gaps in salvage
+// mode (whole frames excised without byte damage) into
+// CorruptSegmentError reports too.
+func (fr *FrameReader) acceptRecord(frame *SegmentFrame, trailer *StreamTrailer, startOff int64) (*SegmentFrame, *StreamTrailer, error) {
 	if trailer != nil {
 		return nil, trailer, nil
 	}

@@ -460,22 +460,41 @@ func TestSalvageRescanAllocatesNothingPerCandidate(t *testing.T) {
 }
 
 // TestSalvageWindowGrowsWithInput: a header segment size of 0 leaves the
-// frame bound at MaxSegmentLen, so a record claiming a 1 GiB container
-// passes it. The salvage window must still grow only as input arrives.
+// frame bound at MaxSegmentLen, and one of 1 GiB sets it there, so a
+// record claiming a 1 GiB container passes it. In both modes the window
+// must still grow only as input arrives, and the stream end truncated.
 func TestSalvageWindowGrowsWithInput(t *testing.T) {
-	stream := AppendStreamHeader(nil, 0)
-	stream = append(stream, frameMarkerSegment, 0, 1)
-	stream = appendUvarintBytes(stream, 1<<30) // compLen
-	stream = append(stream, bytes.Repeat([]byte{0xaa}, 100)...)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, corrupt, _, err := drainSalvage(t, stream)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrTruncated) || len(corrupt) != 1 {
-		t.Fatalf("got %v and %d regions, want one truncated region", err, len(corrupt))
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-		t.Fatalf("a 1 GiB claim in a %d-byte stream allocated %d bytes", len(stream), n)
+	unsized := AppendStreamHeader(nil, 0)
+	unsized = append(unsized, frameMarkerSegment, 0, 1)
+	unsized = appendUvarintBytes(unsized, 1<<30) // compLen
+	unsized = append(unsized, bytes.Repeat([]byte{0xaa}, 100)...)
+	for name, stream := range map[string][]byte{"unsized": unsized, "1GiB-segments": hugeClaim()} {
+		for mode, open := range map[string]func(io.Reader) (*FrameReader, error){
+			"normal": NewFrameReader, "salvage": NewFrameReaderSalvage,
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fr, err := open(bytes.NewReader(stream))
+			if err != nil {
+				t.Fatalf("%s/%s: open: %v", name, mode, err)
+			}
+			regions := 0
+			for {
+				_, _, err = fr.Next()
+				var cse *CorruptSegmentError
+				if !errors.As(err, &cse) {
+					break
+				}
+				regions++
+			}
+			runtime.ReadMemStats(&after)
+			if want := map[string]int{"normal": 0, "salvage": 1}[mode]; !errors.Is(err, ErrTruncated) || regions != want {
+				t.Errorf("%s/%s: got %v and %d regions, want ErrTruncated after %d", name, mode, err, regions, want)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Errorf("%s/%s: a 1 GiB claim in a %d-byte stream allocated %d bytes", name, mode, len(stream), n)
+			}
+		}
 	}
 }
 
@@ -541,8 +560,8 @@ func (s *burstStream) refill() {
 // a ~90 MiB stream (64 KiB segments, 4+2 parity). False resync
 // candidates inside the damaged frame claim containers of up to the
 // varint limit; bounded by the frame bound, the salvage window must stay
-// within twice the container bound instead of reading ahead through the
-// rest of the stream.
+// within windowBound of the container bound (about twice it) instead of
+// reading ahead through the rest of the stream.
 func TestSalvageWindowStaysBounded(t *testing.T) {
 	const segments = 1440
 	src := &burstStream{n: segments, rng: rand.New(rand.NewSource(3)), damage: func(index int, frame []byte) {
@@ -557,9 +576,13 @@ func TestSalvageWindowStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr.EnableRepair()
-	delivered, repaired := 0, 0
+	delivered, repaired, peak := 0, 0, 0
 	for {
 		f, tr, err := fr.Next()
+		// The window only grows while records are read, and goes back to
+		// the pool at the trailer: its peak is its size after the last
+		// record.
+		peak = max(peak, cap(fr.win))
 		var rse *RepairedSegmentError
 		switch {
 		case errors.As(err, &rse):
@@ -580,9 +603,8 @@ func TestSalvageWindowStaysBounded(t *testing.T) {
 		t.Fatalf("delivered %d of %d segments, repaired %d (want 1)", delivered, segments, repaired)
 	}
 	_, maxComp := frameBound(fr.SegmentSize)
-	peak := cap(fr.win)
-	if peak > 2*maxComp {
-		t.Fatalf("salvage window peaked at %d bytes, want at most %d (twice the container bound)", peak, 2*maxComp)
+	if bound := windowBound(maxComp); peak > bound {
+		t.Fatalf("salvage window peaked at %d bytes, want at most %d (windowBound of the container bound %d)", peak, bound, maxComp)
 	}
 	t.Logf("salvage window peak %d bytes, container bound %d", peak, maxComp)
 }

@@ -11,29 +11,20 @@ import (
 // order (offset just past the header, past each frame, past the trailer).
 func buildScanStream(t *testing.T, n int, withTrailer bool) ([]byte, []int64) {
 	t.Helper()
-	var buf bytes.Buffer
-	var bounds []int64
-	if _, err := WriteStreamHeader(&buf, 4096); err != nil {
-		t.Fatal(err)
-	}
-	bounds = append(bounds, int64(buf.Len()))
+	buf := AppendStreamHeader(nil, 4096)
+	bounds := []int64{int64(len(buf))}
 	total := 0
 	for i := 0; i < n; i++ {
 		container := bytes.Repeat([]byte{byte('a' + i)}, 50+i*13)
-		if _, err := WriteSegmentFrame(&buf, i, 100+i, container); err != nil {
-			t.Fatal(err)
-		}
+		buf = AppendSegmentFrame(buf, i, 100+i, container)
 		total += 100 + i
-		bounds = append(bounds, int64(buf.Len()))
+		bounds = append(bounds, int64(len(buf)))
 	}
 	if withTrailer {
-		tr := &StreamTrailer{Segments: n, TotalLen: total, Checksum: 0xdeadbeef}
-		if _, err := WriteStreamTrailer(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		bounds = append(bounds, int64(buf.Len()))
+		buf = AppendStreamTrailer(buf, &StreamTrailer{Segments: n, TotalLen: total, Checksum: 0xdeadbeef})
+		bounds = append(bounds, int64(len(buf)))
 	}
-	return buf.Bytes(), bounds
+	return buf, bounds
 }
 
 func TestBoundaryScannerFullStream(t *testing.T) {
@@ -136,12 +127,8 @@ func TestBoundaryScannerRejectsStructuralViolations(t *testing.T) {
 		}
 	})
 	t.Run("out-of-order index", func(t *testing.T) {
-		var frame bytes.Buffer
-		if _, err := WriteSegmentFrame(&frame, 5, 10, []byte("xxxxxxxxxx")); err != nil {
-			t.Fatal(err)
-		}
 		s := NewBoundaryScanner()
-		bad := append(append([]byte{}, valid[:bounds[0]]...), frame.Bytes()...)
+		bad := AppendSegmentFrame(append([]byte{}, valid[:bounds[0]]...), 5, 10, []byte("xxxxxxxxxx"))
 		if _, err := s.Write(bad); err == nil {
 			t.Fatal("out-of-order segment index accepted")
 		}
@@ -156,15 +143,9 @@ func TestBoundaryScannerRejectsStructuralViolations(t *testing.T) {
 		}
 	})
 	t.Run("trailer segment mismatch", func(t *testing.T) {
-		var buf bytes.Buffer
-		if _, err := WriteStreamHeader(&buf, 4096); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := WriteStreamTrailer(&buf, &StreamTrailer{Segments: 3, TotalLen: 0}); err != nil {
-			t.Fatal(err)
-		}
+		buf := AppendStreamTrailer(AppendStreamHeader(nil, 4096), &StreamTrailer{Segments: 3, TotalLen: 0})
 		s := NewBoundaryScanner()
-		if _, err := s.Write(buf.Bytes()); err == nil {
+		if _, err := s.Write(buf); err == nil {
 			t.Fatal("trailer with wrong segment count accepted")
 		}
 	})

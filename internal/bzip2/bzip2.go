@@ -110,9 +110,13 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 	}
 	payload := container[off:]
 	bounds := h.ChunkBounds()
-	out := make([]byte, h.OriginalLen)
 
+	// The run-length stages give no useful bound on a block's output per
+	// payload byte, so the header's OriginalLen is not trusted to size
+	// anything: each block decodes into its own buffer, and the output
+	// is allocated only once every block has produced exactly its share.
 	var wg sync.WaitGroup
+	blocks := make([][]byte, len(bounds))
 	errs := make([]error, len(bounds))
 	sem := make(chan struct{}, workers)
 	for _, b := range bounds {
@@ -123,14 +127,15 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 			defer func() { <-sem }()
 			dec, err := decompressBlock(payload[b.CompOff : b.CompOff+b.CompLen])
 			if err != nil {
-				errs[b.Index] = fmt.Errorf("bzip2: block %d: %w", b.Index, err)
+				errs[b.Index] = fmt.Errorf("bzip2: block %d: %w: %v", b.Index, format.ErrCorrupt, err)
 				return
 			}
 			if len(dec) != b.UncompLen {
-				errs[b.Index] = fmt.Errorf("bzip2: block %d expands to %d bytes, want %d", b.Index, len(dec), b.UncompLen)
+				errs[b.Index] = fmt.Errorf("bzip2: block %d: %w: expands to %d bytes, want %d",
+					b.Index, format.ErrCorrupt, len(dec), b.UncompLen)
 				return
 			}
-			copy(out[b.UncompOff:], dec)
+			blocks[b.Index] = dec
 		}(b)
 	}
 	wg.Wait()
@@ -138,6 +143,10 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	out := make([]byte, h.OriginalLen)
+	for i, b := range bounds {
+		copy(out[b.UncompOff:], blocks[i])
 	}
 	if format.Checksum32(out) != h.Checksum {
 		return nil, format.ErrChecksum

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -12,8 +13,8 @@ import (
 	"culzss/internal/lzss"
 )
 
-// hostileContainers are bare V1 and bit-packed containers whose headers
-// lie about the output they decode to.
+// hostileContainers are bare V1, bit-packed and bzip2 containers whose
+// headers lie about the output they decode to.
 func hostileContainers() map[string][]byte {
 	bare := func(codec format.Codec, cfg lzss.Config, chunkSize, originalLen int, crc uint32, chunks []int) []byte {
 		c := format.AppendHeader(nil, &format.Header{
@@ -34,6 +35,18 @@ func hostileContainers() map[string][]byte {
 	for i := range overlapping {
 		overlapping[i] = 2 // a flag byte and one literal zero
 	}
+	// The 198-byte bzip2 container of one byte, re-headed to claim a
+	// single 64 MiB block: 202 bytes.
+	bz, _, err := Compress([]byte("x"), "bzip2", Params{})
+	if err != nil {
+		panic(err)
+	}
+	h, off, err := format.ParseHeader(bz)
+	if err != nil {
+		panic(err)
+	}
+	h.ChunkSize, h.OriginalLen = 64<<20, 64<<20
+	bz = append(format.AppendHeader(nil, h), bz[off:]...)
 	return map[string][]byte{
 		// Two payload bytes claiming 1 GiB of output.
 		"1GiB-claim": v1(1<<30, 0, []int{2}),
@@ -50,6 +63,7 @@ func hostileContainers() map[string][]byte {
 		// so only the cap on field widths refuses the claim.
 		"serial-wide-length":  bare(format.CodecSerialBitPacked, wide, 0, 64<<20, 0, []int{64}),
 		"pthread-wide-length": bare(format.CodecChunkedBitPacked, wide, 64<<20, 64<<20, 0, []int{64}),
+		"bzip2-64MiB-claim":   bz,
 	}
 }
 
@@ -80,6 +94,31 @@ func TestDecompressRejectsHostileContainers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReaderBoundsFrameClaimByInput: a 31-byte stream whose header
+// declares 1 GiB segments, and whose one frame claims a 1 GiB container,
+// passes the frame bound. The default Reader must still fail it as
+// truncated without allocating what the frame claims.
+func TestReaderBoundsFrameClaimByInput(t *testing.T) {
+	stream := format.AppendStreamHeader(nil, 1<<30)
+	stream = append(stream, 0x01, 0)             // segment marker, index
+	stream = binary.AppendUvarint(stream, 1<<30) // rawLen
+	stream = binary.AppendUvarint(stream, 1<<30) // compLen
+	stream = append(stream, 0xde, 0xad, 0xbe, 0xef, 0xaa, 0xaa, 0xaa, 0xaa)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewReader(bytes.NewReader(stream), Params{})
+	if err == nil {
+		_, err = io.ReadAll(r)
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, format.ErrTruncated) {
+		t.Fatalf("%d-byte stream claiming a 1 GiB container: %v, want ErrTruncated", len(stream), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("%d-byte stream claiming a 1 GiB container allocated %d bytes", len(stream), alloc)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
@@ -261,13 +262,19 @@ func TestCompressAllocationBounded(t *testing.T) {
 	}
 }
 
+// modeledTotal is a report's saturated total without its wall-clock host
+// step: saturated kernel time plus the modeled transfers. The kernel
+// shape tests compare it, so machine load cannot reorder two runs;
+// harness.TestPaperShapeHolds checks the shape with the host step
+// included, on its deterministic modeled basis.
+func modeledTotal(r *Report) time.Duration {
+	return r.Launch.SaturatedKernelTime + r.H2D + r.D2H
+}
+
 func TestV2FasterThanV1OnText(t *testing.T) {
 	// Table I shape: on ~50%-compressible text V2's uniform kernel beats
 	// V1's divergent one in simulated time. The word-soup genText is too
 	// repetitive to stand in for source text; use the C-files generator.
-	if raceEnabled {
-		t.Skip("race detector inflates the measured V2 host post-pass, distorting the model comparison")
-	}
 	input := datasets.CFiles(256<<10, 10)
 	_, r1, err := CompressV1(input, Options{})
 	if err != nil {
@@ -277,17 +284,14 @@ func TestV2FasterThanV1OnText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.SaturatedTotal() >= r1.SaturatedTotal() {
-		t.Fatalf("V2 (%v) not faster than V1 (%v) on text", r2.SaturatedTotal(), r1.SaturatedTotal())
+	if modeledTotal(r2) >= modeledTotal(r1) {
+		t.Fatalf("V2 (%v) not faster than V1 (%v) on text", modeledTotal(r2), modeledTotal(r1))
 	}
 }
 
 func TestV1FasterThanV2OnHighlyCompressible(t *testing.T) {
 	// Table I shape, DE-map / highly-compressible rows: V1 skips matched
 	// spans, V2 pays the redundant search for every position.
-	if raceEnabled {
-		t.Skip("race detector inflates the measured host steps, distorting the model comparison")
-	}
 	input := genPeriodic(256 << 10)
 	_, r1, err := CompressV1(input, Options{})
 	if err != nil {
@@ -297,8 +301,8 @@ func TestV1FasterThanV2OnHighlyCompressible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.SaturatedTotal() >= r2.SaturatedTotal() {
-		t.Fatalf("V1 (%v) not faster than V2 (%v) on periodic data", r1.SaturatedTotal(), r2.SaturatedTotal())
+	if modeledTotal(r1) >= modeledTotal(r2) {
+		t.Fatalf("V1 (%v) not faster than V2 (%v) on periodic data", modeledTotal(r1), modeledTotal(r2))
 	}
 }
 

@@ -2,9 +2,7 @@
 
 package gpu
 
-// raceEnabled reports whether the race detector is compiled in. The
-// timing-shape tests comparing V1 and V2 fold a *measured* host step into
-// the simulated total; the detector's ~10x instrumentation overhead on
-// that real CPU work distorts the comparison, so those assertions skip
-// under -race (functional round-trip coverage still runs).
+// raceEnabled reports whether the race detector is compiled in. Its
+// instrumentation allocates on its own and slows real CPU work ~10x, so
+// allocation tests skip under -race and long sweeps shrink their inputs.
 const raceEnabled = true

@@ -50,10 +50,6 @@ type Engine interface {
 	Accelerated() bool
 	// Compress encodes data into a self-describing container.
 	Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, error)
-	// CompressInto is Compress into a caller-provided buffer: the result
-	// lands in dst when it fits dst's capacity (a fresh allocation
-	// otherwise), so pooling callers can avoid a copy.
-	CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error)
 	// CompressCPU is the byte-identical host twin (the degrade tail).
 	CompressCPU(data []byte, opts gpu.Options) ([]byte, error)
 	// DecompressInto decodes a container produced by this engine,
@@ -142,19 +138,4 @@ func Names() []string {
 		names[i] = e.Name()
 	}
 	return names
-}
-
-// compressInto adapts an engine's Compress to the CompressInto contract
-// for engines without a cheaper direct path.
-func compressInto(e Engine, dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	out, rep, err := e.Compress(data, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cap(dst) >= len(out) {
-		dst = dst[:len(out)]
-		copy(dst, out)
-		return dst, rep, nil
-	}
-	return out, rep, nil
 }

@@ -116,39 +116,6 @@ func TestEnginesRoundTripAndTwinIdentity(t *testing.T) {
 	}
 }
 
-// TestCompressIntoHonoursCapacity verifies the pooled-buffer contract:
-// a dst with capacity receives the container in place; a too-small dst
-// still yields a correct fresh container.
-func TestCompressIntoHonoursCapacity(t *testing.T) {
-	data := datasets.CFiles(16<<10, 7)
-	for _, e := range Engines() {
-		t.Run(e.Name(), func(t *testing.T) {
-			want, _, err := e.Compress(data, gpu.Options{HostWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			big := make([]byte, 0, len(want)+RawOverhead+len(data))
-			got, _, err := e.CompressInto(big, data, gpu.Options{HostWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("CompressInto(dst) content differs from Compress")
-			}
-			if &got[0] != &big[:1][0] {
-				t.Fatal("CompressInto ignored a dst with sufficient capacity")
-			}
-			small, _, err := e.CompressInto(make([]byte, 0, 1), data, gpu.Options{HostWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(small, want) {
-				t.Fatal("CompressInto(small dst) content differs from Compress")
-			}
-		})
-	}
-}
-
 // TestRawStoreOverheadBound pins the selector's never-expand guarantee
 // at the engine level: a raw container costs at most RawOverhead beyond
 // the plaintext, for every size.

@@ -44,10 +44,6 @@ func (engineV1) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, er
 	return gpu.CompressV1(data, opts)
 }
 
-func (e engineV1) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	return compressInto(e, dst, data, opts)
-}
-
 func (engineV1) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {
 	return gpu.CompressV1CPU(data, opts)
 }
@@ -66,10 +62,6 @@ func (engineV2) Accelerated() bool   { return true }
 
 func (engineV2) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
 	return gpu.CompressV2(data, opts)
-}
-
-func (e engineV2) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	return compressInto(e, dst, data, opts)
 }
 
 func (engineV2) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {
@@ -94,10 +86,6 @@ func (engineCPU) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, e
 	}
 	out, err := cpulzss.CompressSerial(data, cpulzss.Options{Config: opts.Config, Stats: opts.Stats})
 	return out, nil, err
-}
-
-func (e engineCPU) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	return compressInto(e, dst, data, opts)
 }
 
 func (e engineCPU) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {
@@ -128,10 +116,6 @@ func (enginePthread) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Repor
 	return out, nil, err
 }
 
-func (e enginePthread) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	return compressInto(e, dst, data, opts)
-}
-
 func (e enginePthread) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {
 	out, _, err := e.Compress(data, opts)
 	return out, err
@@ -156,10 +140,6 @@ func (engineBZip2) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report,
 	}
 	out, err := bzip2.Compress(data, bzip2.Options{BlockSize: opts.ChunkSize, Workers: opts.HostWorkers})
 	return out, nil, err
-}
-
-func (e engineBZip2) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	return compressInto(e, dst, data, opts)
 }
 
 func (e engineBZip2) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {

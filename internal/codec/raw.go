@@ -53,19 +53,6 @@ func (engineRaw) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, e
 	return append(out, data...), nil, nil
 }
 
-// CompressInto builds the container directly in dst when it fits — the
-// raw store's whole cost is this one copy.
-func (engineRaw) CompressInto(dst, data []byte, opts gpu.Options) ([]byte, *gpu.Report, error) {
-	if err := ctxErr(opts); err != nil {
-		return nil, nil, err
-	}
-	if cap(dst) < len(data)+RawOverhead {
-		dst = make([]byte, 0, len(data)+RawOverhead)
-	}
-	out := format.AppendHeader(dst[:0], rawHeader(data))
-	return append(out, data...), nil, nil
-}
-
 func (e engineRaw) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {
 	out, _, err := e.Compress(data, opts)
 	return out, err

@@ -288,7 +288,7 @@ func Resume(path string, p core.Params, o Options) (*Writer, *TailReport, error)
 			// from the stream so the resumed half stays covered too.
 			o.Stream.Parity = core.ParityConfig{K: rep.ParityK, M: rep.ParityM}
 		}
-		scan = format.ResumeBoundaryScanner(rep.LastGoodOffset, rep.NextIndex)
+		scan = format.ResumeBoundaryScanner(rep.LastGoodOffset, rep.NextIndex, rep.SegmentSize)
 	} else {
 		// Nothing recoverable: restart the stream in the same partial.
 		o.Stream.Resume = nil

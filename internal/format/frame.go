@@ -147,6 +147,145 @@ func AppendStreamTrailer(dst []byte, t *StreamTrailer) []byte {
 	return binary.BigEndian.AppendUint32(dst, t.Checksum)
 }
 
+// errNeedMore is a decoder's signal that its bytes ended before the
+// header or record head did.
+var errNeedMore = errors.New("format: record extends past available data")
+
+// errResync is the rejection of every resync candidate: a record parse
+// at window position > 0 during the rescan after damage. The scan
+// discards it, and candidates are common (every zero byte of a payload
+// is a trailer candidate), so it is one unformatted value that costs no
+// allocation.
+var errResync = errors.New("format: no record at resync candidate")
+
+// reject returns a failed parse's error: errResync at a resync candidate
+// (quiet), else the formatted cause. cause runs only when not quiet.
+func reject(quiet bool, cause func() error) error {
+	if quiet {
+		return errResync
+	}
+	return cause()
+}
+
+// uvarint decodes the varint at the front of b, which may not exceed
+// 2^40: its value and encoded length, or errNeedMore when b ends first.
+func uvarint(b []byte, quiet bool) (int, int, error) {
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, 0, errNeedMore
+	case n < 0:
+		return 0, 0, reject(quiet, func() error { return fmt.Errorf("%w: varint overflow", ErrCorrupt) })
+	case v > 1<<40:
+		return 0, 0, reject(quiet, func() error { return fmt.Errorf("%w: implausible varint %d", ErrCorrupt, v) })
+	}
+	return int(v), n, nil
+}
+
+// decodeStreamHeader decodes the stream header at the front of b: the
+// segment size it declares and its encoded length, or errNeedMore when b
+// ends first.
+func decodeStreamHeader(b []byte) (segmentSize, n int, err error) {
+	const fixed = len(StreamMagic) + 2 // magic, version, flags
+	switch {
+	case len(b) < len(StreamMagic):
+		return 0, 0, errNeedMore
+	case string(b[:len(StreamMagic)]) != StreamMagic:
+		return 0, 0, ErrBadStreamMagic
+	case len(b) < fixed:
+		return 0, 0, errNeedMore
+	case b[len(StreamMagic)] != StreamVersion:
+		return 0, 0, fmt.Errorf("%w: stream version %d", ErrBadVersion, b[len(StreamMagic)])
+	case b[len(StreamMagic)+1] != 0:
+		return 0, 0, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, b[len(StreamMagic)+1])
+	}
+	segmentSize, n, err = uvarint(b[fixed:], false)
+	return segmentSize, fixed + n, err
+}
+
+// headFields is the number of varints before any parity frame lengths in
+// the head of each record kind, indexed by marker.
+var headFields = [...]int{frameMarkerTrailer: 2, frameMarkerSegment: 3, frameMarkerParity: 5}
+
+// head is one decoded record head: the marker through the CRC. The
+// record's body, body bytes long, follows the head's n bytes.
+type head struct {
+	marker byte
+	// f holds the head's varints in wire order. Segment: index, rawLen,
+	// compLen. Trailer: segments, totalLen. Parity: firstIndex, k, m, j,
+	// shardLen.
+	f    [5]int
+	lens [MaxParityK]int // a parity frame's k frame lengths
+	crc  uint32          // the body's CRC; the trailer's stream CRC
+	n    int             // encoded head length
+	body int             // compLen or shardLen; 0 for the trailer
+}
+
+// decode decodes the record head at the front of b. It checks the
+// marker, caps every varint at 2^40, holds a segment's rawLen and
+// compLen to the frame bound (maxRaw, maxComp) and a parity frame to
+// parityGeometryOK with a shard of at most maxComp+maxSegmentHeader
+// bytes and frame lengths within the shard, and reads the CRC. It
+// returns errNeedMore when b ends before the head does, and at a resync
+// candidate (quiet) rejects with errResync, formatting nothing.
+func (h *head) decode(b []byte, maxRaw, maxComp int, quiet bool) error {
+	if len(b) == 0 {
+		return errNeedMore
+	}
+	marker := b[0]
+	if int(marker) >= len(headFields) {
+		return reject(quiet, func() error { return fmt.Errorf("%w: unknown frame marker %#x", ErrCorrupt, marker) })
+	}
+	h.marker = marker
+	p := 1
+	for i := 0; i < headFields[marker]; i++ {
+		v, n, err := uvarint(b[p:], quiet)
+		if err != nil {
+			return err
+		}
+		h.f[i] = v
+		p += n
+	}
+	h.body = 0
+	switch marker {
+	case frameMarkerSegment:
+		rawLen, compLen := h.f[1], h.f[2]
+		if rawLen > maxRaw || compLen > maxComp {
+			return reject(quiet, func() error {
+				return fmt.Errorf("%w: segment lengths raw=%d comp=%d exceed the frame bound (raw %d, comp %d)",
+					ErrCorrupt, rawLen, compLen, maxRaw, maxComp)
+			})
+		}
+		h.body = compLen
+	case frameMarkerParity:
+		first, k, m, j, shardLen := h.f[0], h.f[1], h.f[2], h.f[3], h.f[4]
+		maxShard := maxComp + maxSegmentHeader
+		if !parityGeometryOK(first, k, m, j, shardLen, maxShard) {
+			return reject(quiet, func() error { return validateParityGeometry(first, k, m, j, shardLen, maxShard) })
+		}
+		for i := 0; i < k; i++ {
+			v, n, err := uvarint(b[p:], quiet)
+			if err != nil {
+				return err
+			}
+			if v < 1 || v > shardLen {
+				return reject(quiet, func() error {
+					return fmt.Errorf("%w: frame length %d vs shard length %d", ErrParityGeometry, v, shardLen)
+				})
+			}
+			h.lens[i] = v
+			p += n
+		}
+		h.body = shardLen
+	}
+	if len(b) < p+4 {
+		return errNeedMore
+	}
+	h.crc = binary.BigEndian.Uint32(b[p:])
+	h.n = p + 4
+	return nil
+}
+
 // FrameReader decodes a framed stream incrementally, one Next call per
 // record. Both modes read the source through one sliding window
 // (salvage.go): a record is parsed, bounded by the frame bound and
@@ -208,17 +347,17 @@ type FrameReader struct {
 
 	// The window (salvage.go) over src. Salvage mode also backs up in it
 	// to rescan after a damaged record.
-	salvage     bool
-	src         io.Reader
-	win         []byte // the window's backing array
-	buf         []byte // unconsumed window, a slice of win
-	off         int64  // absolute stream offset of buf[0]
-	eof         bool
-	readErr     error
-	corrupted   bool
-	pendFrame   *SegmentFrame
-	pendTrailer *StreamTrailer
-	pendParity  *ParityFrame
+	salvage   bool
+	src       io.Reader
+	win       []byte // the window's backing array
+	buf       []byte // unconsumed window, a slice of win
+	off       int64  // absolute stream offset of buf[0]
+	eof       bool
+	readErr   error
+	corrupted bool
+	// pend is the record found behind a reported damaged region, which
+	// the next call delivers (n == 0: none).
+	pend record
 	// recOff is the absolute stream offset at which the most recently
 	// returned salvage record started.
 	recOff int64
@@ -244,22 +383,10 @@ func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 	if p, _ := windowPool.Get().(*[]byte); p != nil {
 		fr.win = *p
 	}
-	if !fr.ensure(len(StreamMagic)) {
-		return nil, fr.endErr()
+	segSize, n, err := decodeStreamHeader(fr.buf)
+	for errors.Is(err, errNeedMore) && fr.ensure(len(fr.buf)+1) {
+		segSize, n, err = decodeStreamHeader(fr.buf)
 	}
-	if string(fr.buf[:len(StreamMagic)]) != StreamMagic {
-		return nil, ErrBadStreamMagic
-	}
-	if !fr.ensure(len(StreamMagic) + 2) {
-		return nil, fr.endErr()
-	}
-	if v := fr.buf[len(StreamMagic)]; v != StreamVersion {
-		return nil, fmt.Errorf("%w: stream version %d", ErrBadVersion, v)
-	}
-	if f := fr.buf[len(StreamMagic)+1]; f != 0 {
-		return nil, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, f)
-	}
-	segSize, n, err := fr.varintAt(0, len(StreamMagic)+2)
 	if errors.Is(err, errNeedMore) {
 		return nil, fr.endErr()
 	}
@@ -268,7 +395,7 @@ func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 	}
 	fr.SegmentSize = segSize
 	fr.maxRaw, fr.maxComp = frameBound(segSize)
-	fr.consume(len(StreamMagic) + 2 + n)
+	fr.consume(n)
 	if pooled := fr.win; cap(pooled) > windowBound(fr.maxComp) {
 		// A pooled array from a stream of longer segments: move what the
 		// header's fills read (at most a chunk past the header) to an
@@ -353,7 +480,8 @@ func (fr *FrameReader) nextStrict() (*SegmentFrame, *StreamTrailer, error) {
 		}
 		start := fr.off
 		fr.consume(rec.n)
-		return fr.acceptRecord(rec.frame, rec.trailer, start)
+		rec, err = fr.acceptRecord(rec, start)
+		return rec.frame, rec.trailer, err
 	}
 }
 
@@ -392,13 +520,6 @@ func (fr *FrameReader) noteParity(pf *ParityFrame) {
 	if fr.OnParity != nil {
 		fr.OnParity(pf)
 	}
-}
-
-// errSegmentBound reports a segment record whose lengths exceed the
-// frame bound.
-func (fr *FrameReader) errSegmentBound(rawLen, compLen int) error {
-	return fmt.Errorf("%w: segment lengths raw=%d comp=%d exceed the frame bound (raw %d, comp %d)",
-		ErrCorrupt, rawLen, compLen, fr.maxRaw, fr.maxComp)
 }
 
 // lease returns a length-n container buffer from the Lease hook when it

@@ -183,38 +183,3 @@ func validateParityGeometry(firstIndex, k, m, j, shardLen, maxShard int) error {
 			ErrParityGeometry, firstIndex, k, m, j, shardLen)
 	}
 }
-
-// parseSegmentRecord strictly parses ONE segment frame occupying exactly
-// b (no trailing bytes), verifying the per-frame CRC and rawLen against
-// maxRaw. The repair layer runs every reconstructed frame through this
-// before trusting it.
-func parseSegmentRecord(b []byte, maxRaw int) (*SegmentFrame, error) {
-	if len(b) < 1 || b[0] != frameMarkerSegment {
-		return nil, fmt.Errorf("%w: reconstructed bytes are not a segment frame", ErrCorrupt)
-	}
-	p := 1
-	fields := make([]int, 3) // index, rawLen, compLen
-	for i := range fields {
-		v, n := binary.Uvarint(b[p:])
-		if n <= 0 || v > 1<<40 {
-			return nil, fmt.Errorf("%w: bad varint in reconstructed frame", ErrCorrupt)
-		}
-		fields[i] = int(v)
-		p += n
-	}
-	index, rawLen, compLen := fields[0], fields[1], fields[2]
-	if rawLen > maxRaw || compLen > MaxSegmentLen {
-		return nil, fmt.Errorf("%w: implausible segment lengths raw=%d comp=%d", ErrCorrupt, rawLen, compLen)
-	}
-	if len(b) != p+4+compLen {
-		return nil, fmt.Errorf("%w: reconstructed frame length %d, record needs %d", ErrCorrupt, len(b), p+4+compLen)
-	}
-	crc := binary.BigEndian.Uint32(b[p : p+4])
-	container := b[p+4:]
-	if Checksum32(container) != crc {
-		return nil, fmt.Errorf("%w: reconstructed segment %d", ErrFrameChecksum, index)
-	}
-	c := make([]byte, compLen)
-	copy(c, container)
-	return &SegmentFrame{Index: index, RawLen: rawLen, Container: c}, nil
-}

@@ -8,8 +8,9 @@
 // plus the parity shards go through the Reed–Solomon coder, missing
 // frames are reconstructed, and the whole group is verified against the
 // parity before anything is released. Every reconstructed frame is
-// re-parsed and CRC-verified, so a successful repair is bit-identical to
-// the original by construction, never merely plausible.
+// re-parsed by the window's head decoder under the stream's frame bound
+// and CRC-verified, so a successful repair is bit-identical to the
+// original by construction, never merely plausible.
 //
 // Why hold-until-close rather than eager delivery: the per-frame CRC
 // covers only the container bytes, so a bit flip inside the index or
@@ -145,7 +146,7 @@ func (fr *FrameReader) repairNext() (*SegmentFrame, *StreamTrailer, error) {
 			rep.queue = rep.queue[1:]
 			return ev.frame, ev.trailer, ev.err
 		}
-		f, t, p, err := fr.nextSalvageRaw()
+		rec, err := fr.nextSalvageRaw()
 		switch {
 		case err != nil:
 			var cse *CorruptSegmentError
@@ -162,13 +163,13 @@ func (fr *FrameReader) repairNext() (*SegmentFrame, *StreamTrailer, error) {
 			// rebuilt — then surface the terminal error.
 			fr.closeAll(nil)
 			rep.queue = append(rep.queue, repairEvent{err: err})
-		case t != nil:
-			fr.closeAll(t)
-			rep.queue = append(rep.queue, repairEvent{trailer: t})
-		case p != nil:
-			fr.repairParity(p)
+		case rec.trailer != nil:
+			fr.closeAll(rec.trailer)
+			rep.queue = append(rep.queue, repairEvent{trailer: rec.trailer})
+		case rec.parity != nil:
+			fr.repairParity(rec.parity)
 		default:
-			fr.repairFrame(f)
+			fr.repairFrame(rec.frame)
 		}
 	}
 }
@@ -560,8 +561,8 @@ func (fr *FrameReader) trySolve(s int, hdr *ParityFrame, run []*parityRec) *grou
 				continue
 			}
 			enc := shards[i][:hdr.FrameLens[i]]
-			sf, err := parseSegmentRecord(enc, fr.maxRaw)
-			if err != nil || sf.Index != s+i {
+			sf := fr.parseSegmentRecord(enc)
+			if sf == nil || sf.Index != s+i {
 				return nil
 			}
 			off := int64(-1)
@@ -604,6 +605,19 @@ func (fr *FrameReader) trySolve(s int, hdr *ParityFrame, run []*parityRec) *grou
 		}
 	}
 	return nil
+}
+
+// parseSegmentRecord strictly parses ONE segment frame occupying exactly
+// enc (no trailing bytes) under the stream's frame bound and verifies its
+// CRC, or returns nil. The repair layer runs every reconstructed frame
+// through this before trusting it.
+func (fr *FrameReader) parseSegmentRecord(enc []byte) *SegmentFrame {
+	var h head
+	if h.decode(enc, fr.maxRaw, fr.maxComp, true) != nil || h.marker != frameMarkerSegment ||
+		len(enc) != h.n+h.body || Checksum32(enc[h.n:]) != h.crc {
+		return nil
+	}
+	return &SegmentFrame{Index: h.f[0], RawLen: h.f[1], Container: bytes.Clone(enc[h.n:]), crc: h.crc}
 }
 
 // padShard zero-pads b to length n (no copy when already that long).

@@ -1,7 +1,10 @@
 // Record parsing and salvage. Both FrameReader modes parse records out of
 // one sliding window over the source; salvage mode adds the recovery of
 // every intact segment of a damaged framed stream instead of dying at the
-// first bad byte.
+// first bad byte. The window decodes each record head with head.decode
+// (frame.go), the one head decoder the write-side BoundaryScanner and the
+// repair layer's parseSegmentRecord also use, and adds the reader's
+// ordering rules, the body and its CRC.
 //
 // Normal-mode FrameReader semantics are fail-fast: any CRC mismatch,
 // out-of-order index, or mid-record truncation is sticky and the rest of
@@ -27,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -81,27 +85,6 @@ func (fr *FrameReader) endErr() error {
 		return fr.readErr
 	}
 	return ErrTruncated
-}
-
-// errNeedMore is the internal signal that a record parse ran out of
-// buffered bytes before the record was complete.
-var errNeedMore = errors.New("format: record extends past available data")
-
-// errResync is the rejection of every resync candidate: a record parse
-// at window position > 0 during the rescan after damage. The scan
-// discards it, and candidates are common (every zero byte of a payload
-// is a trailer candidate), so it is one unformatted value that costs no
-// allocation.
-var errResync = errors.New("format: no record at resync candidate")
-
-// reject returns a failed record parse's error at window position pos:
-// the formatted cause at the expected boundary (pos 0), errResync for a
-// resync candidate. cause runs only at pos 0.
-func reject(pos int, cause func() error) error {
-	if pos > 0 {
-		return errResync
-	}
-	return cause()
 }
 
 // CorruptSegmentError reports one damaged region of a framed stream
@@ -197,30 +180,6 @@ func (fr *FrameReader) consume(n int) {
 	fr.off += int64(n)
 }
 
-// varintAt decodes a bounded uvarint at window position p of the record
-// at pos, pulling more input when the encoding crosses the buffered
-// edge. It returns the value, its encoded length, and errNeedMore or a
-// rejection (see reject).
-func (fr *FrameReader) varintAt(pos, p int) (int, int, error) {
-	for {
-		if p < len(fr.buf) {
-			v, n := binary.Uvarint(fr.buf[p:])
-			if n > 0 {
-				if v > 1<<40 {
-					return 0, 0, reject(pos, func() error { return fmt.Errorf("%w: implausible varint %d", ErrCorrupt, v) })
-				}
-				return int(v), n, nil
-			}
-			if n < 0 {
-				return 0, 0, reject(pos, func() error { return fmt.Errorf("%w: varint overflow", ErrCorrupt) })
-			}
-		}
-		if !fr.ensure(len(fr.buf) + 1) {
-			return 0, 0, errNeedMore
-		}
-	}
-}
-
 // record is one record parsed from the window: exactly one of
 // frame, trailer and parity is set, and n is its encoded length.
 type record struct {
@@ -231,43 +190,34 @@ type record struct {
 }
 
 // tryRecord attempts to parse one complete record at window position pos
-// (the window is NOT consumed). Failure is errNeedMore (the stream ended
-// before the record was complete) or a rejection: the formatted cause at
-// the expected boundary (pos 0), errResync for a resync candidate (pos >
-// 0). Every length is checked against the frame bound before the window
-// reads ahead for it.
+// (the window is NOT consumed). It decodes the head, filling the window
+// while the head runs past it, and then applies the reader's ordering
+// rules, reads the body and checks its CRC. Failure is errNeedMore (the
+// stream ended before the record was complete) or a rejection: the
+// formatted cause at the expected boundary (pos 0), errResync for a
+// resync candidate (pos > 0).
 func (fr *FrameReader) tryRecord(pos int) (record, error) {
-	if !fr.ensure(pos + 1) {
-		return record{}, errNeedMore
+	var h head
+	err := h.decode(fr.buf[pos:], fr.maxRaw, fr.maxComp, pos > 0)
+	for errors.Is(err, errNeedMore) && fr.ensure(len(fr.buf)+1) {
+		err = h.decode(fr.buf[pos:], fr.maxRaw, fr.maxComp, pos > 0)
 	}
-	switch marker := fr.buf[pos]; marker {
+	if err != nil {
+		return record{}, err
+	}
+	switch h.marker {
 	case frameMarkerSegment:
-		return fr.trySegment(pos)
+		return fr.trySegment(pos, &h)
 	case frameMarkerTrailer:
-		return fr.tryTrailer(pos)
-	case frameMarkerParity:
-		return fr.tryParity(pos)
+		return fr.tryTrailer(pos, &h)
 	default:
-		return record{}, reject(pos, func() error { return fmt.Errorf("%w: unknown frame marker %#x", ErrCorrupt, marker) })
+		return fr.tryParity(pos, &h)
 	}
 }
 
 // trySegment is tryRecord for a segment frame.
-func (fr *FrameReader) trySegment(pos int) (record, error) {
-	var fields [3]int // index, rawLen, compLen
-	p := pos + 1
-	for i := range fields {
-		v, n, err := fr.varintAt(pos, p)
-		if err != nil {
-			return record{}, err
-		}
-		fields[i] = v
-		p += n
-	}
-	index, rawLen, compLen := fields[0], fields[1], fields[2]
-	if rawLen > fr.maxRaw || compLen > fr.maxComp {
-		return record{}, reject(pos, func() error { return fr.errSegmentBound(rawLen, compLen) })
-	}
+func (fr *FrameReader) trySegment(pos int, h *head) (record, error) {
+	index, rawLen, compLen := h.f[0], h.f[1], h.body
 	lo, hi := fr.nextIndex, fr.nextIndex+maxIndexGap
 	switch rep := fr.rep; {
 	case !fr.salvage:
@@ -281,44 +231,28 @@ func (fr *FrameReader) trySegment(pos int) (record, error) {
 		hi = max(hi, rep.maxSeen+1+maxIndexGap)
 	}
 	if index < lo || index > hi {
-		return record{}, reject(pos, func() error {
+		return record{}, reject(pos > 0, func() error {
 			return fmt.Errorf("%w: got segment %d, want %d", ErrFrameOrder, index, lo)
 		})
 	}
-	if !fr.ensure(p + 4 + compLen) {
+	end := pos + h.n + compLen
+	if !fr.ensure(end) {
 		return record{}, errNeedMore
 	}
-	crc := binary.BigEndian.Uint32(fr.buf[p : p+4])
-	p += 4
-	container := fr.buf[p : p+compLen]
-	if Checksum32(container) != crc {
-		return record{}, reject(pos, func() error { return fmt.Errorf("%w: segment %d", ErrFrameChecksum, index) })
+	container := fr.buf[pos+h.n : end]
+	if Checksum32(container) != h.crc {
+		return record{}, reject(pos > 0, func() error { return fmt.Errorf("%w: segment %d", ErrFrameChecksum, index) })
 	}
 	// Copy out: the window's array is reused as it slides, and by the
 	// next stream once this one ends.
 	c := fr.lease(compLen)
 	copy(c, container)
-	return record{frame: &SegmentFrame{Index: index, RawLen: rawLen, Container: c, crc: crc}, n: p + compLen - pos}, nil
+	return record{frame: &SegmentFrame{Index: index, RawLen: rawLen, Container: c, crc: h.crc}, n: end - pos}, nil
 }
 
 // tryTrailer is tryRecord for the trailer.
-func (fr *FrameReader) tryTrailer(pos int) (record, error) {
-	p := pos + 1
-	segments, n, err := fr.varintAt(pos, p)
-	if err != nil {
-		return record{}, err
-	}
-	p += n
-	totalLen, n, err := fr.varintAt(pos, p)
-	if err != nil {
-		return record{}, err
-	}
-	p += n
-	if !fr.ensure(p + 4) {
-		return record{}, errNeedMore
-	}
-	checksum := binary.BigEndian.Uint32(fr.buf[p : p+4])
-	p += 4
+func (fr *FrameReader) tryTrailer(pos int, h *head) (record, error) {
+	segments, totalLen := h.f[0], h.f[1]
 	switch {
 	case pos == 0 && !fr.corrupted:
 		// Clean path: enforce the same consistency checks as normal
@@ -335,7 +269,7 @@ func (fr *FrameReader) tryTrailer(pos int) (record, error) {
 		// self-checksum, so a scan can hallucinate one out of payload
 		// bytes; demand the one property a real trailer must have —
 		// it ends the stream exactly.
-		if fr.ensure(p + 1) {
+		if fr.ensure(pos + h.n + 1) {
 			return record{}, errResync
 		}
 	default:
@@ -343,26 +277,12 @@ func (fr *FrameReader) tryTrailer(pos int) (record, error) {
 		// trusted, and the counts legitimately disagree with what we
 		// recovered — deliver the trailer as the stream's own claim.
 	}
-	return record{trailer: &StreamTrailer{Segments: segments, TotalLen: totalLen, Checksum: checksum}, n: p - pos}, nil
+	return record{trailer: &StreamTrailer{Segments: segments, TotalLen: totalLen, Checksum: h.crc}, n: h.n}, nil
 }
 
 // tryParity is tryRecord for a parity frame.
-func (fr *FrameReader) tryParity(pos int) (record, error) {
-	var fields [5]int // firstIndex, k, m, j, shardLen
-	p := pos + 1
-	for i := range fields {
-		v, n, err := fr.varintAt(pos, p)
-		if err != nil {
-			return record{}, err
-		}
-		fields[i] = v
-		p += n
-	}
-	first, k, m, j, shardLen := fields[0], fields[1], fields[2], fields[3], fields[4]
-	maxShard := fr.maxComp + maxSegmentHeader
-	if !parityGeometryOK(first, k, m, j, shardLen, maxShard) {
-		return record{}, reject(pos, func() error { return validateParityGeometry(first, k, m, j, shardLen, maxShard) })
-	}
+func (fr *FrameReader) tryParity(pos int, h *head) (record, error) {
+	first, k, m, j, shardLen := h.f[0], h.f[1], h.f[2], h.f[3], h.body
 	// Parity follows its group's data, so a real parity frame never
 	// describes a group starting past the reader's position.
 	bound := fr.nextIndex
@@ -370,47 +290,31 @@ func (fr *FrameReader) tryParity(pos int) (record, error) {
 		bound = rep.maxSeen + 1
 	}
 	if first > bound || first+k > bound+maxIndexGap {
-		return record{}, reject(pos, func() error {
+		return record{}, reject(pos > 0, func() error {
 			return fmt.Errorf("%w: parity group at %d, reader at %d", ErrFrameOrder, first, bound)
 		})
 	}
-	var lens [MaxParityK]int
-	longest := 0
-	for i := 0; i < k; i++ {
-		v, n, err := fr.varintAt(pos, p)
-		if err != nil {
-			return record{}, err
-		}
-		if v < 1 || v > shardLen {
-			return record{}, reject(pos, func() error {
-				return fmt.Errorf("%w: frame length %d vs shard length %d", ErrParityGeometry, v, shardLen)
-			})
-		}
-		lens[i] = v
-		longest = max(longest, v)
-		p += n
-	}
-	if pos > 0 && longest != shardLen {
+	lens := h.lens[:k]
+	if pos > 0 && slices.Max(lens) != shardLen {
 		// A writer pads every shard to exactly its group's longest frame.
 		return record{}, errResync
 	}
-	if !fr.ensure(p + 4 + shardLen) {
+	end := pos + h.n + shardLen
+	if !fr.ensure(end) {
 		return record{}, errNeedMore
 	}
-	crc := binary.BigEndian.Uint32(fr.buf[p : p+4])
-	p += 4
-	shard := fr.buf[p : p+shardLen]
-	if Checksum32(shard) != crc {
-		return record{}, reject(pos, func() error {
+	shard := fr.buf[pos+h.n : end]
+	if Checksum32(shard) != h.crc {
+		return record{}, reject(pos > 0, func() error {
 			return fmt.Errorf("%w: parity shard %d of group at %d", ErrFrameChecksum, j, first)
 		})
 	}
 	pf := &ParityFrame{
 		FirstIndex: first, K: k, M: m, J: j, ShardLen: shardLen,
-		FrameLens: append([]int(nil), lens[:k]...),
+		FrameLens: append([]int(nil), lens...),
 		Shard:     append([]byte(nil), shard...),
 	}
-	return record{parity: pf, n: p + shardLen - pos}, nil
+	return record{parity: pf, n: end - pos}, nil
 }
 
 // nextSalvage decodes the next record in salvage mode. Damaged regions
@@ -422,15 +326,15 @@ func (fr *FrameReader) nextSalvage() (*SegmentFrame, *StreamTrailer, error) {
 		return fr.repairNext()
 	}
 	for {
-		frame, trailer, parity, err := fr.nextSalvageRaw()
-		if parity == nil {
-			return frame, trailer, err
+		rec, err := fr.nextSalvageRaw()
+		if rec.parity == nil {
+			return rec.frame, rec.trailer, err
 		}
 		// Parity frames are transparent outside repair mode, but a group
 		// that closes past the reader's position reveals data frames that
 		// were excised without any byte damage — report the loss the same
 		// way a clean index gap at a segment frame would.
-		if close := parity.FirstIndex + parity.K; close > fr.nextIndex {
+		if close := rec.parity.FirstIndex + rec.parity.K; close > fr.nextIndex {
 			cse := &CorruptSegmentError{
 				Index:  fr.nextIndex,
 				Offset: fr.recOff,
@@ -448,22 +352,11 @@ func (fr *FrameReader) nextSalvage() (*SegmentFrame, *StreamTrailer, error) {
 // advance nextIndex for parity records — callers decide how a group
 // close moves the expected index. fr.recOff holds the returned record's
 // absolute start offset.
-func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityFrame, error) {
+func (fr *FrameReader) nextSalvageRaw() (record, error) {
 	// Deliver the record stashed behind a just-reported corruption.
-	if fr.pendFrame != nil {
-		f := fr.pendFrame
-		fr.pendFrame = nil
-		return f, nil, nil, nil
-	}
-	if fr.pendTrailer != nil {
-		t := fr.pendTrailer
-		fr.pendTrailer = nil
-		return nil, t, nil, nil
-	}
-	if fr.pendParity != nil {
-		p := fr.pendParity
-		fr.pendParity = nil
-		return nil, nil, p, nil
+	if rec := fr.pend; rec.n > 0 {
+		fr.pend = record{}
+		return rec, nil
 	}
 
 	startOff := fr.off
@@ -473,14 +366,13 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 		fr.recOff = startOff
 		if rec.parity != nil {
 			fr.noteParity(rec.parity)
-			return nil, nil, rec.parity, nil
+			return rec, nil
 		}
-		f, t, aerr := fr.acceptRecord(rec.frame, rec.trailer, startOff)
-		return f, t, nil, aerr
+		return fr.acceptRecord(rec, startOff)
 	}
 	if errors.Is(err, errNeedMore) && len(fr.buf) == 0 {
 		// Clean record boundary at end of data but no trailer was seen.
-		return nil, nil, nil, fr.endErr()
+		return record{}, fr.endErr()
 	}
 
 	// Damage at the expected record position: rescan byte by byte for
@@ -504,7 +396,7 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 			// Scanned to end of data without resynchronizing: the whole
 			// tail is damage.
 			if fr.readErr != nil {
-				return nil, nil, nil, fr.readErr
+				return record{}, fr.readErr
 			}
 			if errors.Is(cause, errNeedMore) {
 				cause = ErrTruncated
@@ -512,7 +404,7 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 			skipped := dropped + int64(len(fr.buf))
 			fr.consume(len(fr.buf))
 			fr.corrupted = true
-			return nil, nil, nil, &CorruptSegmentError{Index: fr.nextIndex, Offset: startOff, Skipped: skipped, Err: cause}
+			return record{}, &CorruptSegmentError{Index: fr.nextIndex, Offset: startOff, Skipped: skipped, Err: cause}
 		}
 		b := fr.buf[skip]
 		if b != frameMarkerSegment && b != frameMarkerTrailer && b != frameMarkerParity {
@@ -534,17 +426,14 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 		fr.recOff = startOff + skipped
 		fr.consume(skip + rec.n)
 		switch {
-		case rec.trailer != nil:
-			fr.pendTrailer = rec.trailer
 		case rec.parity != nil:
 			fr.noteParity(rec.parity)
-			fr.pendParity = rec.parity
-		default:
+		case rec.frame != nil:
 			fr.nextIndex = rec.frame.Index + 1
 			fr.rawTotal += rec.frame.RawLen
-			fr.pendFrame = rec.frame
 		}
-		return nil, nil, nil, cse
+		fr.pend = rec
+		return record{}, cse
 	}
 }
 
@@ -552,9 +441,10 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 // expected boundary (both modes), turning clean index gaps in salvage
 // mode (whole frames excised without byte damage) into
 // CorruptSegmentError reports too.
-func (fr *FrameReader) acceptRecord(frame *SegmentFrame, trailer *StreamTrailer, startOff int64) (*SegmentFrame, *StreamTrailer, error) {
-	if trailer != nil {
-		return nil, trailer, nil
+func (fr *FrameReader) acceptRecord(rec record, startOff int64) (record, error) {
+	frame := rec.frame
+	if frame == nil {
+		return rec, nil
 	}
 	if frame.Index != fr.nextIndex {
 		cse := &CorruptSegmentError{
@@ -565,12 +455,12 @@ func (fr *FrameReader) acceptRecord(frame *SegmentFrame, trailer *StreamTrailer,
 		fr.corrupted = true
 		fr.nextIndex = frame.Index + 1
 		fr.rawTotal += frame.RawLen
-		fr.pendFrame = frame
-		return nil, nil, cse
+		fr.pend = rec
+		return record{}, cse
 	}
 	fr.nextIndex++
 	fr.rawTotal += frame.RawLen
-	return frame, nil, nil
+	return rec, nil
 }
 
 // IsSalvageable reports whether err is the kind of in-stream damage

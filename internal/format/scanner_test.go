@@ -96,7 +96,7 @@ func TestBoundaryScannerResume(t *testing.T) {
 	data, bounds := buildScanStream(t, 4, true)
 	// Resume at the boundary after frame 1 (bounds[0] is the header).
 	off, records := bounds[2], 2
-	s := ResumeBoundaryScanner(off, records)
+	s := ResumeBoundaryScanner(off, records, 4096)
 	if _, err := s.Write(data[off:]); err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,21 @@ func newBytePool(reg *obs.Registry, name string) *bytePool {
 	return p
 }
 
-// get returns a zero-length buffer with capacity of at least capHint. A
-// pooled buffer too small for the request is dropped (segment and
-// container sizes are near-uniform within one stream, so the pool
-// self-corrects instead of churning).
+// get returns a zero-length buffer with capacity of at least capHint: a
+// recycled one (see reuse), else a fresh one.
 func (p *bytePool) get(capHint int) []byte {
+	if b := p.reuse(capHint); b != nil {
+		return b
+	}
+	return make([]byte, 0, capHint)
+}
+
+// reuse returns a recycled zero-length buffer with capacity of at least
+// capHint, or nil: a miss allocates nothing. A pooled buffer too small
+// for the request is dropped (segment and container sizes are
+// near-uniform within one stream, so the pool self-corrects instead of
+// churning).
+func (p *bytePool) reuse(capHint int) []byte {
 	if v := p.pool.Get(); v != nil {
 		if b := v.([]byte); cap(b) >= capHint {
 			p.hits.Add(1)
@@ -50,10 +60,10 @@ func (p *bytePool) get(capHint int) []byte {
 	}
 	p.misses.Add(1)
 	p.cmiss.Inc()
-	return make([]byte, 0, capHint)
+	return nil
 }
 
-// put recycles b for a later get. nil is ignored.
+// put recycles b for a later get or reuse. nil is ignored.
 func (p *bytePool) put(b []byte) {
 	if b == nil {
 		return

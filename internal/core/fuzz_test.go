@@ -68,33 +68,52 @@ func hostileContainers() map[string][]byte {
 }
 
 // TestDecompressRejectsHostileContainers: a header that lies about its
-// output fails as corrupt before the decoder allocates for the lie, both
-// bare and inside an honest one-byte frame of a stream.
+// output fails as corrupt before the decoder allocates for the lie: bare,
+// inside an honest one-byte frame of a stream, and inside a frame whose
+// rawLen repeats the lie (capped at 256 MiB) under a header declaring
+// 1 GiB segments, which the frame bound lets through. A 40-byte stream
+// whose frame claims 256 MiB around the raw container of an empty input
+// fails the same way.
 func TestDecompressRejectsHostileContainers(t *testing.T) {
-	framed := func(c []byte, p Params) ([]byte, error) {
-		s := format.AppendSegmentFrame(format.AppendStreamHeader(nil, 1<<20), 0, 1, c)
-		r, err := NewReaderOptions(bytes.NewReader(s), p, ReaderOptions{})
+	check := func(t *testing.T, what string, input []byte, decode func([]byte, Params) ([]byte, error)) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode(input, Params{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, format.ErrCorrupt) {
+			t.Fatalf("%s (%d bytes): %v, want an error wrapping format.ErrCorrupt", what, len(input), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+			t.Fatalf("%s (%d bytes) allocated %d MiB before failing", what, len(input), alloc>>20)
+		}
+	}
+	read := func(stream []byte, p Params) ([]byte, error) {
+		r, err := NewReaderOptions(bytes.NewReader(stream), p, ReaderOptions{})
 		if err != nil {
 			return nil, err
 		}
 		return io.ReadAll(r)
 	}
+	frame := func(segmentSize, rawLen int, c []byte) []byte {
+		return format.AppendSegmentFrame(format.AppendStreamHeader(nil, segmentSize), 0, rawLen, c)
+	}
 	for name, c := range hostileContainers() {
 		t.Run(name, func(t *testing.T) {
-			for how, decode := range map[string]func([]byte, Params) ([]byte, error){"bare": Decompress, "framed": framed} {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				_, err := decode(c, Params{})
-				runtime.ReadMemStats(&after)
-				if !errors.Is(err, format.ErrCorrupt) {
-					t.Fatalf("%s decode of a %d-byte container: %v, want an error wrapping format.ErrCorrupt", how, len(c), err)
-				}
-				if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
-					t.Fatalf("%s decode allocated %d MiB before rejecting a %d-byte container", how, alloc>>20, len(c))
-				}
+			check(t, "bare container", c, Decompress)
+			check(t, "container in a one-byte frame", frame(1<<20, 1, c), read)
+			// overlapping-chunks fails ParseHeader; its claim of one byte
+			// is the one-byte frame's.
+			if h, _, err := format.ParseHeader(c); err == nil {
+				check(t, "container in a frame repeating its claim", frame(1<<30, min(h.OriginalLen, 256<<20), c), read)
 			}
 		})
 	}
+	empty, _, err := Compress(nil, "raw", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, "empty raw container in a 256 MiB frame", frame(1<<30, 256<<20, empty), read)
 }
 
 // TestReaderBoundsFrameClaimByInput: a 31-byte stream whose header

@@ -888,8 +888,7 @@ type readEvent struct {
 	rse     *format.RepairedSegmentError
 	err     error
 
-	plain []byte
-	buf   []byte // plain's pool-owned backing buffer; nil if not pooled
+	plain []byte // decoded segment, recycled to the plaintext pool once served
 	rep   *gpu.Report
 	derr  error
 }
@@ -1216,31 +1215,33 @@ func (r *Reader) decodeOne(ev *readEvent) {
 	if r.met.tracer != nil {
 		sp = r.met.tracer.Start(fmt.Sprintf("segment %d", ev.frame.Index), "decode")
 	}
-	leased := r.plainPool.get(ev.frame.RawLen)
-	plain, rep, err := decompressInto(leased, ev.frame.Container, r.params, r.pctx, r.inner)
+	// Offer the codec only a recycled buffer. On a miss the codec sizes
+	// its own output once its header's claim has passed the codec's
+	// bound, so the frame's rawLen never sizes an allocation.
+	offered := r.plainPool.reuse(ev.frame.RawLen)
+	plain, rep, err := decompressInto(offered, ev.frame.Container, r.params, r.pctx, r.inner)
 	sp.End(err)
 	r.contPool.put(ev.frame.Container)
 	ev.frame.Container = nil
+	if err != nil || !aliases(plain, offered) {
+		// The codec wrote elsewhere (a miss, a CPU codec, or a header
+		// asking for more than the offer): recycle the offer now. The
+		// codec's own output, which no codec keeps a reference to, is
+		// recycled once it is served.
+		r.plainPool.put(offered)
+	}
 	if err != nil {
-		r.plainPool.put(leased)
 		ev.derr = err
 		return
-	}
-	if aliases(plain, leased) {
-		ev.buf = leased
-	} else {
-		// The codec allocated its own output (CPU paths, or a container
-		// whose header asked for more than the lease); recycle the lease.
-		r.plainPool.put(leased)
 	}
 	ev.plain = plain
 	ev.rep = rep
 }
 
-// aliases reports whether the decoded output landed inside the leased
-// buffer, as opposed to a fresh or codec-internal allocation.
-func aliases(plain, leased []byte) bool {
-	return cap(plain) > 0 && cap(leased) > 0 && &plain[:1][0] == &leased[:1][0]
+// aliases reports whether the decoded output landed inside the offered
+// buffer, as opposed to a fresh allocation.
+func aliases(plain, offered []byte) bool {
+	return cap(plain) > 0 && cap(offered) > 0 && &plain[:1][0] == &offered[:1][0]
 }
 
 // nextEvent consumes in-order events until one yields plaintext, the
@@ -1337,7 +1338,7 @@ func (r *Reader) deliverFrame(it *pipeItem[readEvent]) (bool, error) {
 		return false, fmt.Errorf("core: segment %d: %w", frame.Index, ev.derr)
 	}
 	if len(ev.plain) != frame.RawLen {
-		r.plainPool.put(ev.buf)
+		r.plainPool.put(ev.plain)
 		err := fmt.Errorf("%w: segment %d decoded to %d bytes, frame says %d",
 			format.ErrCorrupt, frame.Index, len(ev.plain), frame.RawLen)
 		if r.opts.Salvage {
@@ -1349,7 +1350,7 @@ func (r *Reader) deliverFrame(it *pipeItem[readEvent]) (bool, error) {
 	r.crc = format.Checksum32Update(r.crc, ev.plain)
 	r.served += len(ev.plain)
 	r.cur = ev.plain
-	r.curBuf = ev.buf
+	r.curBuf = ev.plain
 	r.met.segments.Inc()
 	r.met.bytesOut.Add(int64(len(ev.plain)))
 	r.mu.Lock()

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -13,17 +11,6 @@ import (
 	"culzss/internal/faults"
 	"culzss/internal/format"
 )
-
-// testSeed returns the pinned fault seed (CULZSS_FAULT_SEED, default def)
-// so the CI fault matrix and local runs inject the same schedule.
-func testSeed(def int64) int64 {
-	if s := os.Getenv("CULZSS_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
 
 // fastRetry keeps the injected-fault tests quick: microsecond backoffs,
 // default three attempts.
@@ -64,7 +51,7 @@ func readAll(t *testing.T, stream []byte, o ReaderOptions) ([]byte, *Reader) {
 
 func TestWriterRetriesTransientLaunchFaults(t *testing.T) {
 	data := datasets.CFiles(64<<10, 11)
-	inj := faults.New(testSeed(7)).FailFirst(faults.SiteLaunch, 2)
+	inj := faults.New(faults.PinnedSeed(7)).FailFirst(faults.SiteLaunch, 2)
 	p := Params{HostWorkers: 1, Injector: inj}
 	o := StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: fastRetry()}
 
@@ -102,7 +89,7 @@ func TestWriterDegradesPersistentFaultsBitIdentically(t *testing.T) {
 		t.Fatalf("clean run recorded faults: %+v", ws)
 	}
 
-	inj := faults.New(testSeed(7)).Always(faults.SiteLaunch)
+	inj := faults.New(faults.PinnedSeed(7)).Always(faults.SiteLaunch)
 	faulty, ws := streamWith(t, data, Params{HostWorkers: 1, Injector: inj}, o)
 	if ws.Degraded != ws.Segments || ws.Segments != 4 {
 		t.Fatalf("stats = %+v, want all 4 segments degraded", ws)
@@ -124,7 +111,7 @@ func TestWriterDegradesPersistentFaultsBitIdentically(t *testing.T) {
 
 func TestWriterDisableFallbackFailsStream(t *testing.T) {
 	data := datasets.CFiles(32<<10, 11)
-	inj := faults.New(testSeed(7)).Always(faults.SiteLaunch)
+	inj := faults.New(faults.PinnedSeed(7)).Always(faults.SiteLaunch)
 	pol := fastRetry()
 	pol.DisableFallback = true
 	var buf bytes.Buffer
@@ -220,7 +207,7 @@ func TestSalvageSurvivesFrameBitFlips(t *testing.T) {
 		segments = append(segments, data[off:end])
 	}
 
-	inj := faults.New(testSeed(7))
+	inj := faults.New(faults.PinnedSeed(7))
 	var corrupted bytes.Buffer
 	cw := inj.CorruptWriter(&corrupted, 4<<10) // a flip every ~4 KiB on average
 	if _, err := cw.Write(stream); err != nil {
@@ -295,7 +282,7 @@ func TestReaderHonoursCancelledContext(t *testing.T) {
 func TestDeterministicUnderSeed(t *testing.T) {
 	data := datasets.DEMap(64<<10, 11)
 	run := func() ([]byte, WriterStats, faults.Counts) {
-		inj := faults.New(testSeed(7)).FailEvery(faults.SiteLaunch, 3)
+		inj := faults.New(faults.PinnedSeed(7)).FailEvery(faults.SiteLaunch, 3)
 		p := Params{HostWorkers: 1, Injector: inj}
 		stream, ws := streamWith(t, data, p, StreamOptions{Codec: "v1", SegmentSize: 16 << 10, Retry: fastRetry()})
 		return stream, ws, inj.Counts(faults.SiteLaunch)

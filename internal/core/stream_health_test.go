@@ -81,7 +81,7 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 
 	sup := health.NewSupervisor([]health.DeviceSlot{
 		{Device: deadDevice()},
-		{Device: hangDevice(testSeed(7))},
+		{Device: hangDevice(faults.PinnedSeed(7))},
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: 50 * time.Millisecond, Deadline: 2 * time.Second})
 
@@ -223,7 +223,7 @@ func TestWriterSegmentDeadlineDegrades(t *testing.T) {
 	input := datasets.CFiles(100<<10, 55)
 	var buf bytes.Buffer
 	start := time.Now()
-	w := NewWriterOptions(&buf, Params{Device: hangDevice(testSeed(7)), HostWorkers: 2},
+	w := NewWriterOptions(&buf, Params{Device: hangDevice(faults.PinnedSeed(7)), HostWorkers: 2},
 		StreamOptions{
 			Codec:           "v1",
 			SegmentSize:     64 << 10,
@@ -335,9 +335,9 @@ func TestWriterChaosSoak(t *testing.T) {
 	}
 
 	flaky := cudasim.FermiGTX480()
-	flaky.LaunchHook = faults.New(testSeed(7)).FailProb(faults.SiteLaunch, 0.4).LaunchHook()
+	flaky.LaunchHook = faults.New(faults.PinnedSeed(7)).FailProb(faults.SiteLaunch, 0.4).LaunchHook()
 	sticky := cudasim.FermiGTX480()
-	sticky.LaunchHook = faults.New(testSeed(7)+1).HangFirst(faults.SiteLaunch, 2, time.Hour).LaunchHook()
+	sticky.LaunchHook = faults.New(faults.PinnedSeed(7)+1).HangFirst(faults.SiteLaunch, 2, time.Hour).LaunchHook()
 
 	sup := health.NewSupervisor([]health.DeviceSlot{
 		{Device: flaky},

@@ -39,9 +39,9 @@ func TestWriterMetricsReconcileUnderChaos(t *testing.T) {
 	so := StreamOptions{Codec: "v1", SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
 
 	flaky := cudasim.FermiGTX480()
-	flaky.LaunchHook = faults.New(testSeed(7)).FailProb(faults.SiteLaunch, 0.4).LaunchHook()
+	flaky.LaunchHook = faults.New(faults.PinnedSeed(7)).FailProb(faults.SiteLaunch, 0.4).LaunchHook()
 	sticky := cudasim.FermiGTX480()
-	sticky.LaunchHook = faults.New(testSeed(7)+1).HangFirst(faults.SiteLaunch, 2, time.Hour).LaunchHook()
+	sticky.LaunchHook = faults.New(faults.PinnedSeed(7)+1).HangFirst(faults.SiteLaunch, 2, time.Hour).LaunchHook()
 
 	reg := obs.NewRegistry()
 	sup := health.NewSupervisor([]health.DeviceSlot{

@@ -41,9 +41,23 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"strconv"
 	"sync"
 	"time"
 )
+
+// PinnedSeed returns the seed CULZSS_FAULT_SEED pins, or def when it is
+// unset or not an integer, so a test's fault schedule replays exactly
+// under CI's pinned seed.
+func PinnedSeed(def int64) int64 {
+	if s := os.Getenv("CULZSS_FAULT_SEED"); s != "" {
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return v
+		}
+	}
+	return def
+}
 
 // Site identifies a fault-injection point in the pipeline.
 type Site string

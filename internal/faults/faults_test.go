@@ -4,22 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 )
-
-// envSeed returns the pinned CI seed (CULZSS_FAULT_SEED) or the default,
-// so the fault matrix reproduces exactly.
-func envSeed(def int64) int64 {
-	if s := os.Getenv("CULZSS_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
@@ -45,7 +32,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 }
 
 func TestFailFirstTransientThenPasses(t *testing.T) {
-	in := New(envSeed(1)).FailFirst(SiteLaunch, 2)
+	in := New(PinnedSeed(1)).FailFirst(SiteLaunch, 2)
 	for i := 1; i <= 2; i++ {
 		err := in.Fault(SiteLaunch)
 		if err == nil {
@@ -68,7 +55,7 @@ func TestFailFirstTransientThenPasses(t *testing.T) {
 }
 
 func TestAlwaysIsPersistent(t *testing.T) {
-	in := New(envSeed(1)).Always(SiteChunk)
+	in := New(PinnedSeed(1)).Always(SiteChunk)
 	for i := 0; i < 5; i++ {
 		err := in.Fault(SiteChunk)
 		if err == nil {
@@ -81,7 +68,7 @@ func TestAlwaysIsPersistent(t *testing.T) {
 }
 
 func TestFailEvery(t *testing.T) {
-	in := New(envSeed(1)).FailEvery(SiteTransfer, 3)
+	in := New(PinnedSeed(1)).FailEvery(SiteTransfer, 3)
 	var pattern []bool
 	for i := 0; i < 9; i++ {
 		pattern = append(pattern, in.Fault(SiteTransfer) != nil)
@@ -97,7 +84,7 @@ func TestFailEvery(t *testing.T) {
 // TestFailProbDeterministicPerSeed is the seed contract: the same seed
 // and probe order make the same decisions.
 func TestFailProbDeterministicPerSeed(t *testing.T) {
-	seed := envSeed(42)
+	seed := PinnedSeed(42)
 	run := func() []bool {
 		in := New(seed).FailProb(SiteLaunch, 0.3)
 		out := make([]bool, 100)
@@ -122,7 +109,7 @@ func TestFailProbDeterministicPerSeed(t *testing.T) {
 }
 
 func TestConcurrentProbesDeterministicVolume(t *testing.T) {
-	in := New(envSeed(7)).FailFirst(SiteChunk, 10)
+	in := New(PinnedSeed(7)).FailFirst(SiteChunk, 10)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -140,7 +127,7 @@ func TestConcurrentProbesDeterministicVolume(t *testing.T) {
 }
 
 func TestLaunchHookWrapsKernelName(t *testing.T) {
-	in := New(envSeed(1)).Always(SiteLaunch)
+	in := New(PinnedSeed(1)).Always(SiteLaunch)
 	hook := in.LaunchHook()
 	err := hook(context.Background(), "culzss_v1")
 	if err == nil || !IsInjected(err) {
@@ -152,7 +139,7 @@ func TestLaunchHookWrapsKernelName(t *testing.T) {
 }
 
 func TestCorruptWriterFlipsDeterministically(t *testing.T) {
-	seed := envSeed(99)
+	seed := PinnedSeed(99)
 	payload := bytes.Repeat([]byte("the quick brown fox "), 200)
 	run := func() ([]byte, Counts) {
 		in := New(seed)
@@ -201,7 +188,7 @@ func TestCorruptWriterFlipsDeterministically(t *testing.T) {
 func TestCorruptWriterBurstErrors(t *testing.T) {
 	const burst = 7
 	payload := bytes.Repeat([]byte("abcdefgh"), 1024)
-	in := New(envSeed(123))
+	in := New(PinnedSeed(123))
 	var buf bytes.Buffer
 	w := in.CorruptWriter(&buf, 1024, BurstErrors(burst))
 	// One byte per call: bursts must carry across Write boundaries.

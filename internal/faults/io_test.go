@@ -23,7 +23,7 @@ func TestWrapWriterNilInjectorInert(t *testing.T) {
 }
 
 func TestWrapWriterUnarmedPassesThrough(t *testing.T) {
-	in := New(envSeed(1))
+	in := New(PinnedSeed(1))
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 	for i := 0; i < 3; i++ {
@@ -40,7 +40,7 @@ func TestWrapWriterUnarmedPassesThrough(t *testing.T) {
 }
 
 func TestTornWriteAt(t *testing.T) {
-	in := New(envSeed(1)).TornWriteAt(10)
+	in := New(PinnedSeed(1)).TornWriteAt(10)
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 
@@ -72,7 +72,7 @@ func TestTornWriteAt(t *testing.T) {
 
 func TestTornWriteAtCallBoundary(t *testing.T) {
 	// A cut exactly at a call boundary tears the next write at 0 bytes.
-	in := New(envSeed(1)).TornWriteAt(4)
+	in := New(PinnedSeed(1)).TornWriteAt(4)
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 	if n, err := w.Write(make([]byte, 4)); n != 4 || err != nil {
@@ -87,7 +87,7 @@ func TestTornWriteAtCallBoundary(t *testing.T) {
 }
 
 func TestErrAfterNBytes(t *testing.T) {
-	in := New(envSeed(1)).ErrAfterNBytes(10)
+	in := New(PinnedSeed(1)).ErrAfterNBytes(10)
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 
@@ -112,7 +112,7 @@ func TestErrAfterNBytes(t *testing.T) {
 func TestShortWritesComposeWithFireRules(t *testing.T) {
 	// ShortWrites + FailEvery(2): every second write is torn in half with
 	// a transient fault; the others pass untouched.
-	in := New(envSeed(1)).ShortWrites().FailEvery(SiteWrite, 2)
+	in := New(PinnedSeed(1)).ShortWrites().FailEvery(SiteWrite, 2)
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 
@@ -135,7 +135,7 @@ func TestShortWritesComposeWithFireRules(t *testing.T) {
 }
 
 func TestShortWritesWithoutFireRuleInert(t *testing.T) {
-	in := New(envSeed(1)).ShortWrites()
+	in := New(PinnedSeed(1)).ShortWrites()
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 	if n, err := w.Write(make([]byte, 9)); n != 9 || err != nil {
@@ -146,7 +146,7 @@ func TestShortWritesWithoutFireRuleInert(t *testing.T) {
 func TestFireRuleWithoutShortDropsWholeWrite(t *testing.T) {
 	// FailFirst(1) without ShortWrites: the first write fails whole (the
 	// error arrived before any byte hit the disk) and is not sticky.
-	in := New(envSeed(1)).FailFirst(SiteWrite, 1)
+	in := New(PinnedSeed(1)).FailFirst(SiteWrite, 1)
 	var buf bytes.Buffer
 	w := in.WrapWriter(&buf)
 	if n, err := w.Write(make([]byte, 5)); n != 0 || !IsTransient(err) {
@@ -161,7 +161,7 @@ func TestFireRuleWithoutShortDropsWholeWrite(t *testing.T) {
 }
 
 func TestSyncSiteRules(t *testing.T) {
-	in := New(envSeed(1)).FailFirst(SiteSync, 1)
+	in := New(PinnedSeed(1)).FailFirst(SiteSync, 1)
 	err := in.Fault(SiteSync)
 	if !IsInjected(err) || !IsTransient(err) {
 		t.Fatalf("first sync probe: %v, want a transient injected fault", err)
@@ -173,7 +173,7 @@ func TestSyncSiteRules(t *testing.T) {
 		t.Fatalf("sync counts = %+v, want {2 1}", c)
 	}
 	// Always on SiteSync: persistent, every probe.
-	in2 := New(envSeed(1)).Always(SiteSync)
+	in2 := New(PinnedSeed(1)).Always(SiteSync)
 	for i := 0; i < 3; i++ {
 		if err := in2.Fault(SiteSync); !IsInjected(err) || IsTransient(err) {
 			t.Fatalf("probe %d: %v, want persistent injected fault", i, err)
@@ -187,7 +187,7 @@ func TestSyncSiteRules(t *testing.T) {
 func TestWriteRulesDoNotDisturbOtherSites(t *testing.T) {
 	// Arming the write site leaves the device sites alone, and the torn
 	// write surfaces through errors.As like every other fault.
-	in := New(envSeed(1)).TornWriteAt(0)
+	in := New(PinnedSeed(1)).TornWriteAt(0)
 	if err := in.Fault(SiteLaunch); err != nil {
 		t.Fatalf("launch site must stay unarmed: %v", err)
 	}

@@ -3,8 +3,6 @@ package gpu
 import (
 	"bytes"
 	"context"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -12,17 +10,6 @@ import (
 	"culzss/internal/faults"
 	"culzss/internal/lzss"
 )
-
-// testSeed returns the pinned fault seed (CULZSS_FAULT_SEED, default def)
-// so the CI fault matrix and local runs inject the same schedule.
-func testSeed(def int64) int64 {
-	if s := os.Getenv("CULZSS_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return def
-}
 
 // --- CPU fallback bit-compatibility ------------------------------------
 
@@ -75,7 +62,7 @@ func TestCompressV1RefusesMinMatchBeyondHeader(t *testing.T) {
 // --- launch / transfer / chunk fault sites -----------------------------
 
 func TestLaunchFaultInjected(t *testing.T) {
-	inj := faults.New(testSeed(7)).FailFirst(faults.SiteLaunch, 1)
+	inj := faults.New(faults.PinnedSeed(7)).FailFirst(faults.SiteLaunch, 1)
 	input := datasets.CFiles(16<<10, 5)
 	_, _, err := CompressV1(input, Options{Injector: inj})
 	if err == nil {
@@ -118,7 +105,7 @@ func TestTransferFaultInjected(t *testing.T) {
 	for _, k := range compressKernels {
 		for _, d := range dirs {
 			t.Run(k.name+"/"+d.name, func(t *testing.T) {
-				inj := d.arm(faults.New(testSeed(7)))
+				inj := d.arm(faults.New(faults.PinnedSeed(7)))
 				_, _, err := k.run(datasets.CFiles(8<<10, 5), Options{Injector: inj})
 				if err == nil {
 					t.Fatal("expected injected transfer fault")
@@ -145,7 +132,7 @@ func TestDecompressChunkFaultDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
-		inj := faults.New(testSeed(7)).Always(faults.SiteChunk)
+		inj := faults.New(faults.PinnedSeed(7)).Always(faults.SiteChunk)
 		_, _, derr := Decompress(cont, Options{Injector: inj, HostWorkers: 8})
 		if derr == nil {
 			t.Fatal("expected injected chunk fault")
@@ -176,7 +163,7 @@ func TestContextCancelStopsCompression(t *testing.T) {
 func TestMultiGPUShardFaultNamesDevice(t *testing.T) {
 	// Two shards, launch fails only on the second launch attempt: the
 	// error must be attributed to device 1.
-	inj := faults.New(testSeed(7)).FailEvery(faults.SiteLaunch, 2)
+	inj := faults.New(faults.PinnedSeed(7)).FailEvery(faults.SiteLaunch, 2)
 	input := datasets.CFiles(32<<10, 5)
 	_, _, err := CompressV1MultiGPU(input, Options{ChunkSize: 4096, Injector: inj}, 2)
 	if err == nil {
@@ -213,7 +200,7 @@ func TestMultiGPUBadCounts(t *testing.T) {
 // --- hybrid error paths -------------------------------------------------
 
 func TestHybridGPUShardFault(t *testing.T) {
-	inj := faults.New(testSeed(7)).Always(faults.SiteLaunch)
+	inj := faults.New(faults.PinnedSeed(7)).Always(faults.SiteLaunch)
 	_, _, err := CompressV1Hybrid(datasets.CFiles(32<<10, 5), Options{Injector: inj}, 0.25)
 	if err == nil {
 		t.Fatal("expected injected fault from the hybrid GPU shard")

@@ -82,7 +82,7 @@ func TestMultiGPUSupervisedWatchdogCutsHungDevice(t *testing.T) {
 	}
 
 	sup := health.NewSupervisor([]health.DeviceSlot{
-		{Device: hangDevice(testSeed(7))},
+		{Device: hangDevice(faults.PinnedSeed(7))},
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour, Deadline: 2 * time.Second})
 
@@ -125,7 +125,7 @@ func TestMultiGPUSupervisedChaosMix(t *testing.T) {
 	}
 	sup := health.NewSupervisor([]health.DeviceSlot{
 		{Device: deadDevice()},
-		{Device: hangDevice(testSeed(7))},
+		{Device: hangDevice(faults.PinnedSeed(7))},
 		{Device: cudasim.FermiGTX480()},
 	}, health.Policy{Threshold: 1, OpenFor: time.Hour, Deadline: 2 * time.Second})
 
@@ -176,7 +176,7 @@ func TestMultiGPUQuarantinedDeviceReprobes(t *testing.T) {
 	// breaker opens, quarantine elapses, a half-open probe succeeds and
 	// the device rejoins the pool.
 	flaky := cudasim.FermiGTX480()
-	inj := faults.New(testSeed(7)).FailFirst(faults.SiteLaunch, 2)
+	inj := faults.New(faults.PinnedSeed(7)).FailFirst(faults.SiteLaunch, 2)
 	flaky.LaunchHook = inj.LaunchHook()
 	sup := health.NewSupervisor([]health.DeviceSlot{{Device: flaky}},
 		health.Policy{Threshold: 1, OpenFor: 10 * time.Millisecond})
@@ -234,7 +234,7 @@ func TestHybridAutoSplitSurfacesProbeError(t *testing.T) {
 	// The probe's CompressV1 is the first launch; FailFirst(1) kills
 	// exactly it. The run itself must still succeed (probe is advisory)
 	// with an all-GPU split and the failure surfaced in the report.
-	inj := faults.New(testSeed(7)).FailFirst(faults.SiteLaunch, 1)
+	inj := faults.New(faults.PinnedSeed(7)).FailFirst(faults.SiteLaunch, 1)
 	input := datasets.CFiles(48<<10, 37)
 	cont, rep, err := CompressV1Hybrid(input, Options{Injector: inj}, -1)
 	if err != nil {

@@ -41,7 +41,7 @@ type streamRec struct {
 
 // streamRecords maps a stream's record boundaries using the write-side
 // BoundaryScanner (header and trailer excluded).
-func streamRecords(t *testing.T, stream []byte) []streamRec {
+func streamRecords(t testing.TB, stream []byte) []streamRec {
 	t.Helper()
 	s := format.NewBoundaryScanner()
 	var recs []streamRec

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"culzss/internal/obs"
 )
@@ -376,13 +377,11 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 }
 
 // newFrameReader parses the stream header through the window, for either
-// mode. It starts from a pooled window array, and keeps it only when it
-// is within this stream's windowBound.
+// mode. It starts from the largest cached window array, and keeps it only
+// when it is within this stream's windowBound.
 func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 	fr := &FrameReader{salvage: salvage, src: r, parityGroupFirst: -1}
-	if p, _ := windowPool.Get().(*[]byte); p != nil {
-		fr.win = *p
-	}
+	fr.win = takeWindow(0, math.MaxInt)
 	segSize, n, err := decodeStreamHeader(fr.buf)
 	for errors.Is(err, errNeedMore) && fr.ensure(len(fr.buf)+1) {
 		segSize, n, err = decodeStreamHeader(fr.buf)
@@ -396,13 +395,15 @@ func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 	fr.SegmentSize = segSize
 	fr.maxRaw, fr.maxComp = frameBound(segSize)
 	fr.consume(n)
-	if pooled := fr.win; cap(pooled) > windowBound(fr.maxComp) {
-		// A pooled array from a stream of longer segments: move what the
+	if cached := fr.win; cap(cached) > windowBound(fr.maxComp) {
+		// An array from a stream of longer segments: move what the
 		// header's fills read (at most a chunk past the header) to an
-		// array this stream may hold, and hand the pooled one back.
-		fr.win = make([]byte, len(fr.buf)+readChunk)
+		// array this stream may hold, and hand the cached one back.
+		if fr.win = takeWindow(len(fr.buf)+readChunk, windowBound(fr.maxComp)); fr.win == nil {
+			fr.win = make([]byte, len(fr.buf)+readChunk)
+		}
 		fr.buf = fr.win[:copy(fr.win, fr.buf)]
-		putWindow(pooled)
+		putWindow(cached)
 	}
 	return fr, nil
 }

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -57,20 +58,49 @@ func windowBound(maxComp int) int {
 	return 2*readChunk + maxParityHeader + maxSegmentHeader + maxComp
 }
 
-// windowPool recycles window arrays between FrameReaders: a reader takes
-// one when it opens and hands its own back when Next reaches the trailer
-// or a sticky error, so a stream's window is allocated once per process
-// rather than once per stream.
-var windowPool sync.Pool // of *[]byte
+// windowCache keeps the window arrays of ended streams for the next
+// FrameReaders: a reader takes one when it opens and hands its own back
+// when Next reaches the trailer or a sticky error, so a stream's window
+// is allocated once per process rather than once per stream. It holds at
+// most one array per size class, the bit length of the array's capacity
+// in read chunks, and leaves arrays of windowClasses read chunks or more
+// (16 MiB) to the collector, so it never keeps more than twice the
+// largest window it holds. It is a mutex, not a sync.Pool: a pool parks a
+// released array in the releasing P's private slot, out of reach of a
+// reader that opens on another P, whose decode then grew a fresh window
+// from one chunk.
+var windowCache struct {
+	sync.Mutex
+	wins [windowClasses][]byte
+}
 
-// putWindow hands a window array back to the pool.
+const windowClasses = 9
+
+// putWindow hands a window array to the cache, in place of the one of
+// its class.
 func putWindow(win []byte) {
-	if cap(win) > 0 {
-		windowPool.Put(&win)
+	if k := bits.Len(uint(cap(win) / readChunk)); cap(win) > 0 && k < windowClasses {
+		windowCache.Lock()
+		windowCache.wins[k] = win
+		windowCache.Unlock()
 	}
 }
 
-// release hands the window back to the pool once the stream has ended.
+// takeWindow takes the largest cached array whose capacity is within
+// [lo, hi], or returns nil.
+func takeWindow(lo, hi int) []byte {
+	windowCache.Lock()
+	defer windowCache.Unlock()
+	for k := windowClasses - 1; k >= 0; k-- {
+		if win := windowCache.wins[k]; cap(win) > 0 && lo <= cap(win) && cap(win) <= hi {
+			windowCache.wins[k] = nil
+			return win
+		}
+	}
+	return nil
+}
+
+// release hands the window back to the cache once the stream has ended.
 // Nothing Next returned shares it: containers and parity shards are
 // copied out of the window.
 func (fr *FrameReader) release() {

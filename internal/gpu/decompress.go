@@ -97,21 +97,13 @@ func DecompressInto(dst []byte, container []byte, opts Options) ([]byte, *Report
 				return
 			}
 			bd := bounds[ci]
-			// Decode in place: the three-index subslice pins the append
-			// destination to this chunk's slot of out, so a successful
-			// decode has already written its bytes — no copy-back. An
-			// append that outgrew the slot reallocated away from out
-			// (decode overrun past the chunk table's claim): a corrupt
-			// chunk, not a result.
+			// Decode in place: the three-index subslice is this chunk's
+			// slot of out, and the decoder writes only inside it, so a
+			// successful decode has already written exactly its bytes —
+			// no copy-back.
 			slot := out[bd.UncompOff:bd.UncompOff:(bd.UncompOff + bd.UncompLen)]
-			dec, derr := lzss.AppendDecodedByteAligned(slot, payload[bd.CompOff:bd.CompOff+bd.CompLen], bd.UncompLen, cfg)
-			if derr != nil {
+			if _, derr := lzss.AppendDecodedByteAligned(slot, payload[bd.CompOff:bd.CompOff+bd.CompLen], bd.UncompLen, cfg); derr != nil {
 				rec.record(ci, fmt.Errorf("gpu: chunk %d: %w", ci, derr))
-				return
-			}
-			if len(dec) != bd.UncompLen {
-				rec.record(ci, fmt.Errorf("gpu: chunk %d: %w: decoded %d bytes, chunk table says %d",
-					ci, format.ErrCorrupt, len(dec), bd.UncompLen))
 				return
 			}
 

@@ -72,21 +72,6 @@ func BenchmarkEncodeByteAligned(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeByteAligned(b *testing.B) {
-	data := benchCorpus()[:256<<10]
-	comp, err := EncodeByteAligned(data, CULZSSV1(), SearchHashChain, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeByteAligned(comp, len(data), CULZSSV1()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecodeBitPacked(b *testing.B) {
 	data := benchCorpus()[:256<<10]
 	comp, err := EncodeBitPacked(data, Dipperstein(), SearchHashChain, nil)

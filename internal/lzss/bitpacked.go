@@ -52,20 +52,6 @@ func EncodeBitPacked(src []byte, cfg Config, search Search, stats *SearchStats) 
 	return w.Bytes(), nil
 }
 
-// DecodeBitPacked expands a bit-packed token stream produced with cfg into
-// exactly originalLen bytes.
-func DecodeBitPacked(comp []byte, originalLen int, cfg Config) ([]byte, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dst := make([]byte, 0, originalLen)
-	var err error
-	if dst, err = AppendDecodedBitPacked(dst, comp, originalLen, cfg); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // AppendDecodedBitPacked appends the decoded expansion of comp to dst and
 // returns the extended slice. The stream must decode to exactly
 // originalLen additional bytes.

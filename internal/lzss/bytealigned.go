@@ -1,6 +1,11 @@
 package lzss
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Byte-aligned token stream — the format of the CULZSS GPU kernels.
 //
@@ -73,41 +78,6 @@ func (w *ByteAlignedWriter) Match(m Match) error {
 // Bytes returns dst extended by the stream written so far.
 func (w *ByteAlignedWriter) Bytes() []byte { return w.dst }
 
-// AppendTokensByteAligned serialises a token sequence into the byte-aligned
-// stream format, appending to dst.
-func AppendTokensByteAligned(dst []byte, tokens []Token, cfg *Config) ([]byte, error) {
-	if err := cfg.byteAlignedOK(); err != nil {
-		return nil, err
-	}
-	for g := 0; g < len(tokens); g += 8 {
-		end := g + 8
-		if end > len(tokens) {
-			end = len(tokens)
-		}
-		var flags byte
-		for i, t := range tokens[g:end] {
-			if t.Coded {
-				flags |= 1 << (7 - i)
-			}
-		}
-		dst = append(dst, flags)
-		for _, t := range tokens[g:end] {
-			if t.Coded {
-				if t.Match.Distance < 1 || t.Match.Distance > 256 {
-					return nil, fmt.Errorf("lzss: distance %d out of byte-aligned range", t.Match.Distance)
-				}
-				if t.Match.Length < cfg.MinMatch || t.Match.Length-cfg.MinMatch > 255 {
-					return nil, fmt.Errorf("lzss: length %d out of byte-aligned range", t.Match.Length)
-				}
-				dst = append(dst, byte(t.Match.Distance-1), byte(t.Match.Length-cfg.MinMatch))
-			} else {
-				dst = append(dst, t.Literal)
-			}
-		}
-	}
-	return dst, nil
-}
-
 // EncodeByteAligned compresses src into the byte-aligned stream with
 // greedy longest-match parsing. It is the CPU-reference encoder for the
 // GPU wire format: kernels must produce byte-identical output for the
@@ -150,52 +120,78 @@ func AppendEncodedByteAligned(dst, src []byte, cfg Config, search Search, stats 
 	return w.Bytes(), nil
 }
 
-// DecodeByteAligned expands a byte-aligned token stream produced with cfg
-// into exactly originalLen bytes.
-func DecodeByteAligned(comp []byte, originalLen int, cfg Config) ([]byte, error) {
-	dst := make([]byte, 0, originalLen)
-	return AppendDecodedByteAligned(dst, comp, originalLen, cfg)
-}
-
 // AppendDecodedByteAligned appends the decoded expansion of comp to dst.
 // The stream must decode to exactly originalLen additional bytes.
+//
+// It writes by index into dst[len(dst):len(dst)+originalLen], the slot,
+// so a caller whose dst has that capacity gets the bytes in place. A run
+// of literals, and a back-reference at least eight bytes back, moves
+// eight bytes per step while the slot has eight bytes of room; a byte
+// loop takes shorter distances and the slot's last bytes. A step may
+// write past the end of its token, never past the slot, and the tokens
+// after it overwrite those bytes; it reads only output already produced.
+// A short dst grows by no more than comp can decode to.
 func AppendDecodedByteAligned(dst, comp []byte, originalLen int, cfg Config) ([]byte, error) {
+	if originalLen <= 0 {
+		return dst, nil
+	}
 	base := len(dst)
-	pos := 0
-	for len(dst)-base < originalLen {
+	if cap(dst)-base < originalLen {
+		// A coded token takes two bytes and yields at most MinMatch+255.
+		dst = slices.Grow(dst, min(originalLen, max(len(comp), len(comp)/2*(cfg.MinMatch+255))))
+	}
+	out := dst[:min(cap(dst), base+originalLen)]
+	end := base + originalLen
+	o, pos := base, 0
+	for o < end {
 		if pos >= len(comp) {
 			return nil, fmt.Errorf("%w: flag byte missing", ErrTruncated)
 		}
-		flags := comp[pos]
+		// The group's flags, MSB first, then a stop bit: a literal run
+		// is the count of leading zeros, and the group is done when
+		// only the stop bit is left.
+		flags := uint32(comp[pos])<<24 | 1<<23
 		pos++
-		for bit := 0; bit < 8 && len(dst)-base < originalLen; bit++ {
-			if flags&(1<<(7-bit)) == 0 {
-				if pos >= len(comp) {
+		for flags != 1<<31 && o < end {
+			if flags&(1<<31) == 0 {
+				lits := min(bits.LeadingZeros32(flags), end-o)
+				if pos+lits > len(comp) {
 					return nil, fmt.Errorf("%w: literal missing", ErrTruncated)
 				}
-				dst = append(dst, comp[pos])
-				pos++
+				if o+8 <= len(out) && pos+8 <= len(comp) {
+					binary.LittleEndian.PutUint64(out[o:], binary.LittleEndian.Uint64(comp[pos:]))
+				} else {
+					copy(out[o:o+lits], comp[pos:])
+				}
+				o, pos, flags = o+lits, pos+lits, flags<<lits
 				continue
 			}
+			flags <<= 1
 			if pos+2 > len(comp) {
 				return nil, fmt.Errorf("%w: coded token missing", ErrTruncated)
 			}
 			dist := int(comp[pos]) + 1
-			length := int(comp[pos+1]) + cfg.MinMatch
+			length := max(int(comp[pos+1])+cfg.MinMatch, 0) // under a negative MinMatch, a copy of nothing, not a step back
 			pos += 2
-			if dist > len(dst)-base {
-				return nil, fmt.Errorf("%w: distance %d exceeds produced output %d", ErrCorrupt, dist, len(dst)-base)
+			if dist > o-base {
+				return nil, fmt.Errorf("%w: distance %d exceeds produced output %d", ErrCorrupt, dist, o-base)
 			}
-			if len(dst)-base+length > originalLen {
+			if o-base+length > originalLen {
 				return nil, fmt.Errorf("%w: match overruns declared length", ErrCorrupt)
 			}
-			from := len(dst) - dist
-			for i := 0; i < length; i++ {
-				dst = append(dst, dst[from+i])
+			stop := o + length
+			if dist >= 8 && stop+7 <= len(out) {
+				for ; o < stop; o += 8 {
+					binary.LittleEndian.PutUint64(out[o:], binary.LittleEndian.Uint64(out[o-dist:]))
+				}
+				o = stop
+			}
+			for ; o < stop; o++ {
+				out[o] = out[o-dist]
 			}
 		}
 	}
-	return dst, nil
+	return out[:end], nil
 }
 
 // ParseTokensByteAligned parses a byte-aligned stream back into tokens,

@@ -44,9 +44,6 @@ func NewHashMatcher(cfg Config) *HashMatcher {
 	return m
 }
 
-// SetMaxChain bounds chain walks per search; 0 means unlimited.
-func (m *HashMatcher) SetMaxChain(n int) { m.maxChain = n }
-
 // Reset points the matcher at new input and clears all chains.
 func (m *HashMatcher) Reset(data []byte) {
 	m.data = data

@@ -280,13 +280,6 @@ func extend(data []byte, a, b, l, maxLen int) int {
 	return maxLen
 }
 
-// MaxEncodedLenBitPacked bounds the bit-packed stream size for n input
-// bytes: worst case is all literals at 9 bits each, plus the final byte's
-// padding.
-func MaxEncodedLenBitPacked(n int, cfg Config) int {
-	return (n*9+7)/8 + 1
-}
-
 // MaxDecodedLenBitPacked bounds what a compLen-byte bit-packed stream can
 // decode to under a valid cfg. Its tokens are whole: a literal yields one
 // byte for 9 bits and a coded token at most MaxMatch bytes for

@@ -132,20 +132,19 @@ func checkDecodeByteAligned(t *testing.T, comp []byte, originalLen int, cfg Conf
 
 // datasetChunks returns each dataset's first chunkLen bytes encoded
 // under V1 (config 0) and V2 (config 1).
-func datasetChunks(tb testing.TB) (chunks []decodeSeed) {
+func datasetChunks(tb testing.TB) (chunks []datasetChunk) {
 	for _, g := range datasets.All() {
 		data := g.Gen(chunkLen, 1)
 		for sel, cfg := range []Config{CULZSSV1(), CULZSSV2()} {
-			chunks = append(chunks, decodeSeed{encodeChunks(tb, data, cfg)[0], chunkLen, uint8(sel)})
+			chunks = append(chunks, datasetChunk{encodeChunks(tb, data, cfg)[0], uint8(sel)})
 		}
 	}
 	return chunks
 }
 
-type decodeSeed struct {
-	comp        []byte
-	originalLen uint16
-	config      uint8
+type datasetChunk struct {
+	comp   []byte
+	config uint8
 }
 
 // TestDecodeByteAlignedEveryCut decodes every dataset chunk cut at every
@@ -154,7 +153,7 @@ func TestDecodeByteAlignedEveryCut(t *testing.T) {
 	for _, c := range datasetChunks(t) {
 		cfg := []Config{CULZSSV1(), CULZSSV2()}[c.config]
 		for cut := 0; cut <= len(c.comp); cut++ {
-			checkDecodeByteAligned(t, c.comp[:cut], int(c.originalLen), cfg, cut%16, cut%9)
+			checkDecodeByteAligned(t, c.comp[:cut], chunkLen, cfg, cut%16, cut%9)
 		}
 	}
 }
@@ -165,8 +164,8 @@ func TestDecodeByteAlignedEveryCut(t *testing.T) {
 // TestDecodersNeverPanicOnGarbage's shapes.
 func FuzzDecodeByteAligned(f *testing.F) {
 	for _, c := range datasetChunks(f) {
-		f.Add(c.comp, c.originalLen, c.config, uint8(0), uint8(0))
-		f.Add(c.comp[:len(c.comp)/2], c.originalLen, c.config, uint8(0), uint8(0x35))
+		f.Add(c.comp, uint16(chunkLen), c.config, uint8(0), uint8(0))
+		f.Add(c.comp[:len(c.comp)/2], uint16(chunkLen), c.config, uint8(0), uint8(0x35))
 	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"culzss/internal/obs"
 )
@@ -377,11 +376,11 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 }
 
 // newFrameReader parses the stream header through the window, for either
-// mode. It starts from the largest cached window array, and keeps it only
-// when it is within this stream's windowBound.
+// mode. It starts from the cached window array, and keeps it only when
+// it is within this stream's windowBound.
 func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 	fr := &FrameReader{salvage: salvage, src: r, parityGroupFirst: -1}
-	fr.win = takeWindow(0, math.MaxInt)
+	fr.win = takeWindow()
 	segSize, n, err := decodeStreamHeader(fr.buf)
 	for errors.Is(err, errNeedMore) && fr.ensure(len(fr.buf)+1) {
 		segSize, n, err = decodeStreamHeader(fr.buf)
@@ -399,9 +398,7 @@ func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
 		// An array from a stream of longer segments: move what the
 		// header's fills read (at most a chunk past the header) to an
 		// array this stream may hold, and hand the cached one back.
-		if fr.win = takeWindow(len(fr.buf)+readChunk, windowBound(fr.maxComp)); fr.win == nil {
-			fr.win = make([]byte, len(fr.buf)+readChunk)
-		}
+		fr.win = make([]byte, len(fr.buf)+readChunk)
 		fr.buf = fr.win[:copy(fr.win, fr.buf)]
 		putWindow(cached)
 	}

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 	"sync"
 )
@@ -58,46 +57,39 @@ func windowBound(maxComp int) int {
 	return 2*readChunk + maxParityHeader + maxSegmentHeader + maxComp
 }
 
-// windowCache keeps the window arrays of ended streams for the next
-// FrameReaders: a reader takes one when it opens and hands its own back
-// when Next reaches the trailer or a sticky error, so a stream's window
-// is allocated once per process rather than once per stream. It holds at
-// most one array per size class, the bit length of the array's capacity
-// in read chunks, and leaves arrays of windowClasses read chunks or more
-// (16 MiB) to the collector, so it never keeps more than twice the
-// largest window it holds. It is a mutex, not a sync.Pool: a pool parks a
-// released array in the releasing P's private slot, out of reach of a
-// reader that opens on another P, whose decode then grew a fresh window
-// from one chunk.
+// windowCache keeps the window array of the last ended stream for the
+// next FrameReader: a reader takes it when it opens and hands its own
+// back when Next reaches the trailer or a sticky error, so a stream's
+// window is allocated once per process rather than once per stream. It
+// holds one array, smaller than maxCachedWindow, and a put replaces it.
+// It is a mutex, not a sync.Pool: a pool parks a released array in the
+// releasing P's private slot, out of reach of a reader that opens on
+// another P, whose decode then grew a fresh window from one chunk.
 var windowCache struct {
 	sync.Mutex
-	wins [windowClasses][]byte
+	win []byte
 }
 
-const windowClasses = 9
+// maxCachedWindow is the least capacity windowCache leaves to the
+// collector: the window of segments of about 8 MiB.
+const maxCachedWindow = 16 << 20
 
-// putWindow hands a window array to the cache, in place of the one of
-// its class.
+// putWindow hands a window array to the cache.
 func putWindow(win []byte) {
-	if k := bits.Len(uint(cap(win) / readChunk)); cap(win) > 0 && k < windowClasses {
+	if cap(win) > 0 && cap(win) < maxCachedWindow {
 		windowCache.Lock()
-		windowCache.wins[k] = win
+		windowCache.win = win
 		windowCache.Unlock()
 	}
 }
 
-// takeWindow takes the largest cached array whose capacity is within
-// [lo, hi], or returns nil.
-func takeWindow(lo, hi int) []byte {
+// takeWindow takes the cached array, or returns nil.
+func takeWindow() []byte {
 	windowCache.Lock()
 	defer windowCache.Unlock()
-	for k := windowClasses - 1; k >= 0; k-- {
-		if win := windowCache.wins[k]; cap(win) > 0 && lo <= cap(win) && cap(win) <= hi {
-			windowCache.wins[k] = nil
-			return win
-		}
-	}
-	return nil
+	win := windowCache.win
+	windowCache.win = nil
+	return win
 }
 
 // release hands the window back to the cache once the stream has ended.

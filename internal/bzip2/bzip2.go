@@ -14,8 +14,6 @@ package bzip2
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"culzss/internal/bitio"
 	"culzss/internal/bzip2/bwt"
@@ -40,34 +38,19 @@ type Options struct {
 	SortStats *bwt.Stats
 }
 
-func (o *Options) fill() {
-	if o.BlockSize <= 0 {
-		o.BlockSize = DefaultBlockSize
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-}
-
 // Compress compresses data into a CULZSS container with the bzip2 codec.
 func Compress(data []byte, opts Options) ([]byte, error) {
-	opts.fill()
+	if opts.BlockSize <= 0 {
+		opts.BlockSize = DefaultBlockSize
+	}
 	chunks := format.SplitChunks(data, opts.BlockSize)
 	streams := make([][]byte, len(chunks))
 	statsPer := make([]bwt.Stats, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i, chunk := range chunks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, chunk []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			streams[i] = compressBlock(chunk, &statsPer[i])
-		}(i, chunk)
-	}
-	wg.Wait()
+	// compressBlock cannot fail, so neither can the pool.
+	_ = format.RunChunks(0, len(chunks), opts.Workers, func(i int) error {
+		streams[i] = compressBlock(chunks[i], &statsPer[i])
+		return nil
+	})
 
 	if opts.SortStats != nil {
 		for i := range statsPer {
@@ -76,24 +59,7 @@ func Compress(data []byte, opts Options) ([]byte, error) {
 			opts.SortStats.FallbackRounds += statsPer[i].FallbackRounds
 		}
 	}
-
-	h := &format.Header{
-		Codec:       format.CodecBZip2,
-		ChunkSize:   opts.BlockSize,
-		OriginalLen: len(data),
-		Checksum:    format.Checksum32(data),
-		ChunkSizes:  make([]int, len(streams)),
-	}
-	total := 0
-	for i, s := range streams {
-		h.ChunkSizes[i] = len(s)
-		total += len(s)
-	}
-	out := format.AppendHeader(make([]byte, 0, 64+total), h)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	return out, nil
+	return format.Assemble(&format.Header{Codec: format.CodecBZip2, ChunkSize: opts.BlockSize}, data, streams), nil
 }
 
 // Decompress expands a bzip2 container, verifying the checksum.
@@ -105,9 +71,6 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 	if h.Codec != format.CodecBZip2 {
 		return nil, fmt.Errorf("bzip2: container holds %v", h.Codec)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	payload := container[off:]
 	bounds := h.ChunkBounds()
 
@@ -115,34 +78,21 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 	// payload byte, so the header's OriginalLen is not trusted to size
 	// anything: each block decodes into its own buffer, and the output
 	// is allocated only once every block has produced exactly its share.
-	var wg sync.WaitGroup
 	blocks := make([][]byte, len(bounds))
-	errs := make([]error, len(bounds))
-	sem := make(chan struct{}, workers)
-	for _, b := range bounds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b format.ChunkBound) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			dec, err := decompressBlock(payload[b.CompOff : b.CompOff+b.CompLen])
-			if err != nil {
-				errs[b.Index] = fmt.Errorf("bzip2: block %d: %w: %v", b.Index, format.ErrCorrupt, err)
-				return
-			}
-			if len(dec) != b.UncompLen {
-				errs[b.Index] = fmt.Errorf("bzip2: block %d: %w: expands to %d bytes, want %d",
-					b.Index, format.ErrCorrupt, len(dec), b.UncompLen)
-				return
-			}
-			blocks[b.Index] = dec
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	if err := format.RunChunks(0, len(bounds), workers, func(i int) error {
+		b := bounds[i]
+		dec, err := decompressBlock(payload[b.CompOff : b.CompOff+b.CompLen])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("bzip2: block %d: %w: %v", b.Index, format.ErrCorrupt, err)
 		}
+		if len(dec) != b.UncompLen {
+			return fmt.Errorf("bzip2: block %d: %w: expands to %d bytes, want %d",
+				b.Index, format.ErrCorrupt, len(dec), b.UncompLen)
+		}
+		blocks[i] = dec
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	out := make([]byte, h.OriginalLen)
 	for i, b := range bounds {

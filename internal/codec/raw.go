@@ -20,19 +20,6 @@ func (engineRaw) Codec() format.Codec { return format.CodecStoreRaw }
 func (engineRaw) Name() string        { return "raw" }
 func (engineRaw) Accelerated() bool   { return false }
 
-// rawHeader builds the store-raw container header for data.
-func rawHeader(data []byte) *format.Header {
-	h := &format.Header{
-		Codec:       format.CodecStoreRaw,
-		OriginalLen: len(data),
-		Checksum:    format.Checksum32(data),
-	}
-	if len(data) > 0 {
-		h.ChunkSizes = []int{len(data)}
-	}
-	return h
-}
-
 // RawOverhead is the worst-case container overhead of a store-raw
 // segment: header fields plus the single chunk-table entry. The adaptive
 // selector's guarantee — a segment never expands by more than the
@@ -49,8 +36,8 @@ func (engineRaw) Compress(data []byte, opts gpu.Options) ([]byte, *gpu.Report, e
 	if err := ctxErr(opts); err != nil {
 		return nil, nil, err
 	}
-	out := format.AppendHeader(make([]byte, 0, len(data)+RawOverhead), rawHeader(data))
-	return append(out, data...), nil, nil
+	// One chunk, the plaintext itself; empty data has none.
+	return format.Assemble(&format.Header{Codec: format.CodecStoreRaw}, data, format.SplitChunks(data, 0)), nil, nil
 }
 
 func (e engineRaw) CompressCPU(data []byte, opts gpu.Options) ([]byte, error) {

@@ -87,7 +87,7 @@ func TestAutoStoresIncompressibleStream(t *testing.T) {
 func TestDecompressUnknownCodec(t *testing.T) {
 	payload := []byte("reserved-codec payload")
 	unknown := format.Codec(9) // headroom: valid range, never assigned
-	if !unknown.Valid() || unknown.Known() {
+	if !unknown.Valid() || unknown <= format.CodecStoreRaw {
 		t.Fatalf("codec %d is not a valid-but-unassigned headroom value", unknown)
 	}
 	h := &format.Header{

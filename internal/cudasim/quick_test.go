@@ -99,3 +99,13 @@ func TestQuickPipelineNeverBeatsCriticalPath(t *testing.T) {
 }
 
 func dur(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }
+
+// SequentialSchedule is the unpipelined baseline: every stage of every
+// slice runs back to back (the paper's measured configuration).
+func SequentialSchedule(slices []PipelineStage) time.Duration {
+	var total time.Duration
+	for _, s := range slices {
+		total += s.H2D + s.Kernel + s.D2H
+	}
+	return total
+}

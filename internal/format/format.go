@@ -29,6 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Magic identifies a CULZSS container.
@@ -98,12 +101,6 @@ func (c Codec) String() string {
 // question (internal/codec), answered at decode dispatch.
 func (c Codec) Valid() bool {
 	return c >= CodecSerialBitPacked && c <= CodecMax
-}
-
-// Known reports whether c is a codec this repository assigns (as opposed
-// to a reserved headroom value that merely parses).
-func (c Codec) Known() bool {
-	return c >= CodecSerialBitPacked && c <= CodecStoreRaw
 }
 
 // Errors returned by ParseHeader and Validate.
@@ -313,4 +310,74 @@ func SplitChunks(data []byte, chunkSize int) [][]byte {
 		chunks = append(chunks, data[off:end])
 	}
 	return chunks
+}
+
+// RunChunks is the host chunk pool every chunked codec runs its chunks
+// on: it calls fn on each index in [lo, hi) over at most workers
+// goroutines (0 or less means GOMAXPROCS), inline for one worker or one
+// index. Indexes are claimed in order and none is claimed once one has
+// failed, so every index below a failure runs and the error returned,
+// that of the lowest failing index, does not depend on scheduling.
+func RunChunks(lo, hi, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 || hi-lo <= 1 {
+		for i := lo; i < hi; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		mu      sync.Mutex
+		lowest  int
+		lowErr  error
+		running sync.WaitGroup
+	)
+	next.Store(int64(lo))
+	for w := min(workers, hi-lo); w > 0; w-- {
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= hi {
+					return
+				}
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if lowErr == nil || i < lowest {
+						lowest, lowErr = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	running.Wait()
+	return lowErr
+}
+
+// Assemble is the one container builder (§III.A's reassembly, §III.B.3's
+// host concatenation): it sets h's OriginalLen, Checksum and ChunkSizes
+// from data and its per-chunk streams, and returns the header followed
+// by the streams in chunk order.
+func Assemble(h *Header, data []byte, streams [][]byte) []byte {
+	h.OriginalLen, h.Checksum = len(data), Checksum32(data)
+	h.ChunkSizes = make([]int, len(streams))
+	total := 0
+	for i, s := range streams {
+		h.ChunkSizes[i] = len(s)
+		total += len(s)
+	}
+	out := AppendHeader(make([]byte, 0, 64+len(streams)*3+total), h)
+	for _, s := range streams {
+		out = append(out, s...)
+	}
+	return out
 }

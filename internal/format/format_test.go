@@ -1,9 +1,13 @@
 package format
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +244,99 @@ func TestChecksum32(t *testing.T) {
 	// CRC-32 (IEEE) of "123456789" is the well-known check value 0xCBF43926.
 	if got := Checksum32([]byte("123456789")); got != 0xCBF43926 {
 		t.Fatalf("Checksum32 = %#x, want 0xCBF43926", got)
+	}
+}
+
+// TestRunChunks pins the host chunk pool's rules: every index of the
+// range runs exactly once on success, no more than workers run at once,
+// and with several failing indexes the lowest one's error comes back,
+// after every index below it has run.
+func TestRunChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		lo, hi, worker int
+		fail           []int
+	}{
+		{name: "empty", lo: 3, hi: 3, worker: 4},
+		{name: "one index", lo: 5, hi: 6, worker: 4},
+		{name: "one index fails", lo: 5, hi: 6, worker: 4, fail: []int{5}},
+		{name: "workers 0", lo: 0, hi: 50, worker: 0},
+		{name: "workers 1", lo: 2, hi: 40, worker: 1},
+		{name: "workers 1 fails", lo: 2, hi: 40, worker: 1, fail: []int{30, 9}},
+		{name: "more workers than indexes", lo: 10, hi: 13, worker: 16},
+		{name: "several", lo: 0, hi: 200, worker: 3},
+		{name: "several fail", lo: 0, hi: 200, worker: 3, fail: []int{170, 41, 42, 199}},
+		{name: "workers 0 fail", lo: 7, hi: 300, worker: 0, fail: []int{8, 299}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failing := map[int]bool{}
+			for _, i := range tc.fail {
+				failing[i] = true
+			}
+			runs := make([]atomic.Int32, tc.hi)
+			var active, peak atomic.Int32
+			err := RunChunks(tc.lo, tc.hi, tc.worker, func(i int) error {
+				if n := active.Add(1); n > peak.Load() {
+					peak.Store(n)
+				}
+				defer active.Add(-1)
+				runtime.Gosched()
+				runs[i].Add(1)
+				if failing[i] {
+					return fmt.Errorf("chunk %d", i)
+				}
+				return nil
+			})
+			limit := tc.worker
+			if limit <= 0 {
+				limit = runtime.GOMAXPROCS(0)
+			}
+			if p := int(peak.Load()); p > limit {
+				t.Fatalf("%d chunks ran at once, limit %d", p, limit)
+			}
+			lowest := tc.hi
+			for _, i := range tc.fail {
+				lowest = min(lowest, i)
+			}
+			if lowest == tc.hi {
+				if err != nil {
+					t.Fatalf("err = %v, want nil", err)
+				}
+			} else if want := fmt.Sprintf("chunk %d", lowest); err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			for i := range runs {
+				n := runs[i].Load()
+				switch {
+				case i < tc.lo && n != 0:
+					t.Fatalf("index %d outside [%d, %d) ran", i, tc.lo, tc.hi)
+				case i >= tc.lo && i <= lowest && i < tc.hi && n != 1:
+					t.Fatalf("index %d ran %d times, want once", i, n)
+				case n > 1:
+					t.Fatalf("index %d ran %d times", i, n)
+				}
+			}
+		})
+	}
+}
+
+// TestAssemble: the assembled container parses back to the header's
+// fields and the streams in order, and empty data has an empty chunk
+// table.
+func TestAssemble(t *testing.T) {
+	data := []byte("abcdefghij")
+	streams := [][]byte{[]byte("xy"), nil, []byte("z")}
+	c := Assemble(&Header{Codec: CodecCULZSSV1, Window: 128, Lookahead: 18, MinMatch: 3, ChunkSize: 4}, data, streams)
+	h, off, err := ParseHeader(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Header{Codec: CodecCULZSSV1, Window: 128, Lookahead: 18, MinMatch: 3, ChunkSize: 4,
+		OriginalLen: len(data), Checksum: Checksum32(data), ChunkSizes: []int{2, 0, 1}}
+	if !reflect.DeepEqual(h, want) || !bytes.Equal(c[off:], []byte("xyz")) {
+		t.Fatalf("got %+v payload %q", h, c[off:])
+	}
+	if h, _, err := ParseHeader(Assemble(&Header{Codec: CodecStoreRaw}, nil, nil)); err != nil || len(h.ChunkSizes) != 0 {
+		t.Fatalf("empty: %+v, %v", h, err)
 	}
 }

@@ -152,10 +152,6 @@ func NewFrameReaderSalvage(r io.Reader) (*FrameReader, error) {
 	return newFrameReader(r, true)
 }
 
-// Corrupted reports whether salvage has recovered past at least one
-// damaged region so far.
-func (fr *FrameReader) Corrupted() bool { return fr.corrupted }
-
 // fill reads more input into the window for a parse that needs want
 // live bytes, and reports whether any bytes were added. It reads into the
 // spare capacity behind the live bytes, what the parse needs but at least
@@ -483,19 +479,4 @@ func (fr *FrameReader) acceptRecord(rec record, startOff int64) (record, error) 
 	fr.nextIndex++
 	fr.rawTotal += frame.RawLen
 	return rec, nil
-}
-
-// IsSalvageable reports whether err is the kind of in-stream damage
-// salvage mode can recover past (checksum mismatches, corrupt records,
-// ordering violations, truncation) as opposed to I/O failures or API
-// misuse.
-func IsSalvageable(err error) bool {
-	var cse *CorruptSegmentError
-	return errors.As(err, &cse) ||
-		errors.Is(err, ErrCorrupt) ||
-		errors.Is(err, ErrFrameChecksum) ||
-		errors.Is(err, ErrFrameOrder) ||
-		errors.Is(err, ErrParityGeometry) ||
-		errors.Is(err, ErrChecksum) ||
-		errors.Is(err, ErrTruncated)
 }

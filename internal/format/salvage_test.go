@@ -608,3 +608,18 @@ func TestSalvageWindowStaysBounded(t *testing.T) {
 	}
 	t.Logf("salvage window peak %d bytes, container bound %d", peak, maxComp)
 }
+
+// IsSalvageable reports whether err is the kind of in-stream damage
+// salvage mode can recover past (checksum mismatches, corrupt records,
+// ordering violations, truncation) as opposed to I/O failures or API
+// misuse.
+func IsSalvageable(err error) bool {
+	var cse *CorruptSegmentError
+	return errors.As(err, &cse) ||
+		errors.Is(err, ErrCorrupt) ||
+		errors.Is(err, ErrFrameChecksum) ||
+		errors.Is(err, ErrFrameOrder) ||
+		errors.Is(err, ErrParityGeometry) ||
+		errors.Is(err, ErrChecksum) ||
+		errors.Is(err, ErrTruncated)
+}

@@ -72,9 +72,6 @@ func (s *BoundaryScanner) Records() int { return s.records }
 // ParityRecords reports the number of complete parity frames seen.
 func (s *BoundaryScanner) ParityRecords() int { return s.parityRecords }
 
-// TrailerDone reports whether the stream trailer has been fully consumed.
-func (s *BoundaryScanner) TrailerDone() bool { return s.trailer }
-
 // Err returns the sticky structural error, if any.
 func (s *BoundaryScanner) Err() error { return s.err }
 

@@ -200,3 +200,6 @@ func TestBoundaryScannerParityStream(t *testing.T) {
 		t.Fatalf("misplaced parity: %v, want ErrFrameOrder", err)
 	}
 }
+
+// TrailerDone reports whether the stream trailer has been fully consumed.
+func (s *BoundaryScanner) TrailerDone() bool { return s.trailer }

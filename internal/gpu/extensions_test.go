@@ -94,10 +94,7 @@ func TestPipelineScheduleMath(t *testing.T) {
 		{H2D: ms(2), Kernel: ms(10), D2H: ms(1)},
 		{H2D: ms(2), Kernel: ms(10), D2H: ms(1)},
 	}
-	seq := cudasim.SequentialSchedule(slices)
-	if seq != ms(39) {
-		t.Fatalf("sequential = %v", seq)
-	}
+	seq := ms(39) // the three slices' stages back to back
 	pip := cudasim.PipelineSchedule(slices)
 	// Kernel-bound steady state: ~2 + 3*10 + trailing copies.
 	if pip >= seq {
@@ -187,14 +184,21 @@ func TestMultiGPURejectsBadCount(t *testing.T) {
 
 func TestHybridRoundTripAcrossFractions(t *testing.T) {
 	input := datasets.CFiles(96<<10, 26)
-	single, _, err := CompressV1(input, Options{})
+	var singleStats lzss.SearchStats
+	single, _, err := CompressV1(input, Options{Stats: &singleStats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []float64{0, 0.25, 0.5, 1} {
-		cont, rep, err := CompressV1Hybrid(input, Options{}, frac)
+		var stats lzss.SearchStats
+		cont, rep, err := CompressV1Hybrid(input, Options{Stats: &stats}, frac)
 		if err != nil {
 			t.Fatalf("frac=%v: %v", frac, err)
+		}
+		// Both shares run the same search, so together they count what
+		// one CompressV1 counts.
+		if stats != singleStats {
+			t.Fatalf("frac=%v: stats %+v, CompressV1 counts %+v", frac, stats, singleStats)
 		}
 		// CPU chunks use the same encoder and configuration, so the
 		// container must be byte-identical regardless of the split.
@@ -211,6 +215,23 @@ func TestHybridRoundTripAcrossFractions(t *testing.T) {
 		if frac > 0 && rep.CPUTime <= 0 {
 			t.Fatalf("frac=%v: no CPU time recorded", frac)
 		}
+	}
+}
+
+// TestHybridAutoSplitCountsOnlyTheRun: the automatic split's probe
+// compresses a sample on both sides, and none of that search reaches
+// Options.Stats.
+func TestHybridAutoSplitCountsOnlyTheRun(t *testing.T) {
+	input := datasets.CFiles(160<<10, 26)
+	var want, got lzss.SearchStats
+	if _, _, err := CompressV1(input, Options{Stats: &want}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CompressV1Hybrid(input, Options{Stats: &got}, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("auto-split hybrid counts %+v, CompressV1 %+v", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"culzss/internal/format"
-	"culzss/internal/lzss"
 )
 
 // CompressV1CPU is the degrade path behind the streaming Writer's
@@ -16,43 +15,21 @@ import (
 // persistently, a segment compressed here still decodes through the
 // ordinary chunk-parallel Decompress and round-trips byte-identically.
 func CompressV1CPU(data []byte, opts Options) ([]byte, error) {
-	opts.fill(format.CodecCULZSSV1)
-	if err := opts.ctxErr(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV1); err != nil {
 		return nil, err
 	}
-	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Window > 256 || cfg.MaxMatch-cfg.MinMatch > 255 {
-		return nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
-	}
-
-	// Chunk streams go into the V1 lanes' pooled buckets, released once
-	// the container holds a copy.
-	chunks := format.SplitChunks(data, opts.ChunkSize)
-	bucketCap := lzss.MaxEncodedLenByteAligned(opts.ChunkSize)
-	streams := make([][]byte, len(chunks))
-	buckets := make([]*[]byte, len(chunks))
-	defer releaseBuckets(buckets)
-	statsPer := make([]lzss.SearchStats, len(chunks))
-	if err := hostChunks(0, len(chunks), opts.HostWorkers, func(ci int) error {
-		buckets[ci] = getBucket(bucketCap)
-		comp, err := lzss.AppendEncodedByteAligned((*buckets[ci])[:0], chunks[ci], cfg, lzss.SearchBrute, &statsPer[ci])
-		if err != nil {
+	lanes := newV1Lanes(data, &opts)
+	defer lanes.release()
+	if err := format.RunChunks(0, len(lanes.chunks), opts.HostWorkers, func(ci int) error {
+		if _, err := lanes.encode(ci); err != nil {
 			return fmt.Errorf("gpu: cpu-fallback chunk %d: %w", ci, err)
 		}
-		*buckets[ci], streams[ci] = comp, comp
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if opts.Stats != nil {
-		for i := range statsPer {
-			opts.Stats.Add(statsPer[i])
-		}
-	}
+	opts.addStats(lanes.stats)
 
-	container, _ := assembleContainer(format.CodecCULZSSV1, cfg, opts.ChunkSize, data, streams)
+	container, _ := assembleContainer(format.CodecCULZSSV1, opts.Config, opts.ChunkSize, data, lanes.streams)
 	return container, nil
 }

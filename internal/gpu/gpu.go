@@ -41,7 +41,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,20 +132,22 @@ type Options struct {
 	// chunk. Production paths leave it nil (zero cost beyond a pointer
 	// test).
 	Injector *faults.Injector
-	// Context, when non-nil, is checked at launch, slice, and shard
-	// boundaries so a stuck or abandoned stream can be cancelled cleanly
-	// (the multi-call entry points CompressV1Streamed / CompressV1MultiGPU
-	// stop between slices; single launches check once up front). It is
-	// also handed to the device's LaunchHook, so a hang injected at the
-	// launch site unwedges when the context is cancelled.
+	// Context, when non-nil, is checked at launch, slice, shard and
+	// chunk boundaries so a stuck or abandoned stream can be cancelled
+	// cleanly (every entry point checks once up front; CompressV1Streamed
+	// and CompressV1MultiGPU also stop between slices and shards, and
+	// CompressV1Hybrid's CPU share between chunks). It is also handed to
+	// the device's LaunchHook, so a hang injected at the launch site
+	// unwedges when the context is cancelled.
 	Context context.Context
 	// Health, when non-nil, arms the resilient dispatch paths: the
-	// multi-GPU and streamed entry points route shards over the
-	// supervisor's device pool through per-device circuit breakers and the
-	// watchdog, re-dispatching failed shards to sibling devices and
-	// degrading to the byte-identical CompressV1CPU encoder when the whole
-	// pool is quarantined. Nil keeps the legacy fail-fast dispatch
-	// (first shard error aborts the run, attributed to its device).
+	// multi-GPU, streamed and hybrid entry points route their V1 shards
+	// (hybrid's GPU share is one shard) over the supervisor's device pool
+	// through per-device circuit breakers and the watchdog,
+	// re-dispatching failed shards to sibling devices and degrading to
+	// the byte-identical CompressV1CPU encoder when the whole pool is
+	// quarantined. Nil keeps the legacy fail-fast dispatch (first shard
+	// error aborts the run, attributed to its device).
 	Health *health.Supervisor
 	// Obs, when non-nil, mirrors the run into the observability layer:
 	// launch counters and modeled stage histograms per kernel, dispatch
@@ -228,37 +229,6 @@ func (r *faultRecorder) error() error {
 	return r.err
 }
 
-// hostChunks is the host chunk pool behind the degrade twins and
-// hybrid's CPU share: it runs encode on every chunk index in [lo, hi)
-// over up to workers goroutines (0 means GOMAXPROCS), starts no further
-// chunk once one has failed, and returns the failure with the lowest
-// chunk index.
-func hostChunks(lo, hi, workers int, encode func(ci int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var rec faultRecorder
-	var claimed atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(workers, hi-lo); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !rec.tripped() {
-				ci := lo + int(claimed.Add(1)) - 1
-				if ci >= hi {
-					return
-				}
-				if err := encode(ci); err != nil {
-					rec.record(ci, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return rec.error()
-}
-
 func (o *Options) fill(version format.Codec) {
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
@@ -272,6 +242,33 @@ func (o *Options) fill(version format.Codec) {
 		} else {
 			o.Config = lzss.CULZSSV1()
 		}
+	}
+}
+
+// enter is every compress entry point's check: it fills the defaults for
+// version, then refuses a cancelled context, an invalid configuration,
+// and one whose offset or length does not fit the 16-bit token.
+func (o *Options) enter(version format.Codec) error {
+	o.fill(version)
+	if err := o.ctxErr(); err != nil {
+		return err
+	}
+	if err := o.Config.Validate(); err != nil {
+		return err
+	}
+	if o.Config.Window > 256 || o.Config.MaxMatch-o.Config.MinMatch > 255 {
+		return fmt.Errorf("gpu: config %+v does not fit the 16-bit token", o.Config)
+	}
+	return nil
+}
+
+// addStats folds a run's per-chunk search counters into o.Stats, if set.
+func (o *Options) addStats(perChunk []lzss.SearchStats) {
+	if o.Stats == nil {
+		return
+	}
+	for i := range perChunk {
+		o.Stats.Add(perChunk[i])
 	}
 }
 
@@ -326,35 +323,27 @@ func (r *Report) String() string {
 		r.Launch.KernelTime, r.H2D, r.D2H, r.HostTime, r.SimulatedTotal())
 }
 
-// header builds the container header for a finished run.
-func header(codec format.Codec, cfg lzss.Config, chunkSize int, data []byte, sizes []int) *format.Header {
-	return &format.Header{
-		Codec:       codec,
-		MinMatch:    uint8(cfg.MinMatch),
-		Window:      cfg.Window,
-		Lookahead:   cfg.MaxMatch,
-		ChunkSize:   chunkSize,
-		OriginalLen: len(data),
-		Checksum:    format.Checksum32(data),
-		ChunkSizes:  sizes,
-	}
-}
-
 // assembleContainer performs the host concatenation step (paper §III.B.3:
 // "a final separate process to concatenate only the compressed data into a
 // continuous stream") and returns the container plus the measured host
 // time.
 func assembleContainer(codec format.Codec, cfg lzss.Config, chunkSize int, data []byte, streams [][]byte) ([]byte, time.Duration) {
 	start := time.Now()
-	sizes := make([]int, len(streams))
-	total := 0
-	for i, s := range streams {
-		sizes[i] = len(s)
-		total += len(s)
-	}
-	out := format.AppendHeader(make([]byte, 0, 64+len(sizes)*3+total), header(codec, cfg, chunkSize, data, sizes))
-	for _, s := range streams {
-		out = append(out, s...)
-	}
+	out := format.Assemble(&format.Header{
+		Codec:     codec,
+		MinMatch:  uint8(cfg.MinMatch),
+		Window:    cfg.Window,
+		Lookahead: cfg.MaxMatch,
+		ChunkSize: chunkSize,
+	}, data, streams)
 	return out, time.Since(start)
+}
+
+// totalLen sums the lengths of bufs.
+func totalLen(bufs [][]byte) int {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	return n
 }

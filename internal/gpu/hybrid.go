@@ -60,9 +60,7 @@ func CompressV1Hybrid(data []byte, opts Options, cpuFraction float64) ([]byte, *
 	if cpuFraction > 1 {
 		return nil, nil, fmt.Errorf("gpu: cpu fraction %v > 1", cpuFraction)
 	}
-	opts.fill(format.CodecCULZSSV1)
-	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV1); err != nil {
 		return nil, nil, err
 	}
 
@@ -71,75 +69,47 @@ func CompressV1Hybrid(data []byte, opts Options, cpuFraction float64) ([]byte, *
 		cpuFraction, probeErr = autoSplit(data, opts)
 	}
 
-	chunks := format.SplitChunks(data, opts.ChunkSize)
-	nCPU := int(float64(len(chunks)) * cpuFraction)
-	if nCPU > len(chunks) {
-		nCPU = len(chunks)
-	}
-	// The CPU takes the tail so the GPU shard stays chunk-aligned at 0.
-	gpuData := data[:max(0, len(data)-sumLen(chunks[len(chunks)-nCPU:]))]
+	// Both shares fill one set of lanes. The CPU takes the tail chunks so
+	// the GPU shard starts at chunk 0.
+	lanes := newV1Lanes(data, &opts)
+	defer lanes.release()
+	nChunks := len(lanes.chunks)
+	nCPU := min(int(float64(nChunks)*cpuFraction), nChunks)
+	nGPU := nChunks - nCPU
 
 	rep := &HybridReport{InputBytes: len(data), CPUFraction: cpuFraction, ProbeErr: probeErr}
-	streams := make([][]byte, len(chunks))
-	// The CPU share encodes into the V1 lanes' pooled buckets, released
-	// once the container holds a copy.
-	bucketCap := lzss.MaxEncodedLenByteAligned(opts.ChunkSize)
-	buckets := make([]*[]byte, len(chunks))
-	defer releaseBuckets(buckets)
-
 	var wg sync.WaitGroup
 	var gpuErr, cpuErr error
 	wg.Add(1)
 	go func() { // CPU share: the host chunk pool over the tail chunks.
 		defer wg.Done()
 		start := time.Now()
-		cpuErr = hostChunks(len(chunks)-nCPU, len(chunks), opts.HostWorkers, func(i int) error {
+		cpuErr = format.RunChunks(nGPU, nChunks, opts.HostWorkers, func(i int) error {
 			// A cancelled context abandons the CPU share between chunks
 			// (nothing partial is kept).
 			if err := opts.ctxErr(); err != nil {
 				return fmt.Errorf("gpu: hybrid cpu chunk %d: %w", i, err)
 			}
-			buckets[i] = getBucket(bucketCap)
-			s, err := lzss.AppendEncodedByteAligned((*buckets[i])[:0], chunks[i], cfg, lzss.SearchBrute, nil)
-			if err != nil {
-				return err
-			}
-			*buckets[i], streams[i] = s, s
-			return nil
+			_, err := lanes.encode(i)
+			return err
 		})
 		rep.CPUTime = time.Since(start)
 	}()
 
-	if len(gpuData) > 0 {
-		var (
-			cont []byte
-			r    *Report
-			err  error
-		)
-		if opts.Health != nil {
-			// Supervised: the GPU share rides the device pool with
-			// redispatch and CPU degrade, so a sick device cannot fail
-			// the hybrid run.
-			var res Outcome
-			res, err = dispatch(engineV1{}, opts.Health, gpuData, opts, -1, "hybrid gpu shard")
-			cont, r, rep.GPUDegraded = res.Container, res.Report, res.Degraded
-		} else {
-			cont, r, err = CompressV1(gpuData, opts)
-		}
-		if err != nil {
-			gpuErr = err
-		} else {
-			h, off, perr := format.ParseHeader(cont)
-			if perr != nil {
-				gpuErr = fmt.Errorf("gpu: hybrid gpu shard: reparsing container: %w", perr)
-			} else {
-				payload := cont[off:]
-				for i, b := range h.ChunkBounds() {
-					streams[i] = payload[b.CompOff : b.CompOff+b.CompLen]
-				}
-				rep.GPU = r
-			}
-		}
+	// The GPU share counts its searches apart from the lanes', so
+	// opts.Stats is added to once, after both shares succeed.
+	var gpuStats lzss.SearchStats
+	if nGPU > 0 {
+		// Supervised, the GPU share rides the device pool with
+		// redispatch and CPU degrade, so a sick device cannot fail the
+		// hybrid run.
+		gpuOpts := opts
+		gpuOpts.Stats = &gpuStats
+		var streams [][]byte
+		var res Outcome
+		streams, res, gpuErr = v1Shard(chunkSpan(data, opts.ChunkSize, 0, nGPU), gpuOpts, -1, "hybrid gpu shard")
+		copy(lanes.streams, streams)
+		rep.GPU, rep.GPUDegraded = res.Report, res.Degraded
 	}
 	wg.Wait()
 	if gpuErr != nil {
@@ -148,8 +118,12 @@ func CompressV1Hybrid(data []byte, opts Options, cpuFraction float64) ([]byte, *
 	if cpuErr != nil {
 		return nil, nil, cpuErr
 	}
+	if opts.Stats != nil {
+		opts.Stats.Add(gpuStats)
+	}
+	opts.addStats(lanes.stats)
 
-	container, _ := assembleContainer(format.CodecCULZSSV1, cfg, opts.ChunkSize, data, streams)
+	container, _ := assembleContainer(format.CodecCULZSSV1, opts.Config, opts.ChunkSize, data, lanes.streams)
 	rep.OutputBytes = len(container)
 	opts.Obs.Counter("culzss_hybrid_runs_total").Inc()
 	if rep.GPUDegraded {
@@ -175,6 +149,7 @@ func autoSplit(data []byte, opts Options) (frac float64, probeErr string) {
 		return 0, fmt.Sprintf("cpu probe: %v", err)
 	}
 	cpuT := time.Since(start)
+	opts.Stats = nil // the probe's searches are not the run's
 	_, rep, err := CompressV1(sample, opts)
 	if err != nil {
 		return 0, fmt.Sprintf("gpu probe: %v", err)
@@ -193,12 +168,4 @@ func autoSplit(data []byte, opts Options) (frac float64, probeErr string) {
 		frac = 0.95
 	}
 	return frac, ""
-}
-
-func sumLen(chunks [][]byte) int {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	return n
 }

@@ -78,13 +78,8 @@ func CompressV1MultiGPU(data []byte, opts Options, nGPUs int) ([]byte, *MultiGPU
 
 	// Shard on chunk boundaries.
 	chunkSize := opts.ChunkSize
-	nChunks := (len(data) + chunkSize - 1) / chunkSize
-	if nChunks == 0 {
-		nChunks = 1
-	}
-	if nGPUs > nChunks {
-		nGPUs = nChunks
-	}
+	nChunks := max((len(data)+chunkSize-1)/chunkSize, 1)
+	nGPUs = min(nGPUs, nChunks)
 	perGPU := (nChunks + nGPUs - 1) / nGPUs
 
 	sup := opts.Health
@@ -96,8 +91,8 @@ func CompressV1MultiGPU(data []byte, opts Options, nGPUs int) ([]byte, *MultiGPU
 	rep := &MultiGPUReport{InputBytes: len(data)}
 	var allStreams [][]byte
 	for g := 0; g < nGPUs; g++ {
-		lo := g * perGPU * chunkSize
-		if lo >= len(data) && len(data) > 0 {
+		shard := chunkSpan(data, chunkSize, g*perGPU, (g+1)*perGPU)
+		if len(shard) == 0 && len(data) > 0 {
 			break
 		}
 		// A cancelled context abandons the run between shards — the
@@ -106,48 +101,28 @@ func CompressV1MultiGPU(data []byte, opts Options, nGPUs int) ([]byte, *MultiGPU
 		if err := opts.ctxErr(); err != nil {
 			return nil, nil, fmt.Errorf("gpu: shard %d: %w", g, err)
 		}
-		hi := lo + perGPU*chunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		shard := data[lo:hi]
-
-		var (
-			cont     []byte
-			r        *Report
-			degraded bool
-		)
+		shardOpts, home := opts, -1
 		if sup == nil {
 			// Legacy fail-fast static assignment: shard g <-> device g.
-			shardOpts := opts
 			shardOpts.Device = base.Clone()
-			var err error
-			cont, r, err = CompressV1(shard, shardOpts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("gpu: device %d: %w", g, err)
-			}
 		} else {
-			res, err := dispatch(engineV1{}, sup, shard, opts, g%sup.Devices(), fmt.Sprintf("shard %d", g))
-			if err != nil {
-				return nil, nil, err
-			}
-			cont, r, degraded = res.Container, res.Report, res.Degraded
+			home = g % sup.Devices()
 		}
-
-		h, off, err := format.ParseHeader(cont)
+		streams, res, err := v1Shard(shard, shardOpts, home, fmt.Sprintf("shard %d", g))
 		if err != nil {
-			return nil, nil, fmt.Errorf("gpu: device %d: reparsing shard container: %w", g, err)
+			if sup == nil {
+				err = fmt.Errorf("gpu: device %d: %w", g, err)
+			}
+			return nil, nil, err
 		}
-		payload := cont[off:]
-		for _, b := range h.ChunkBounds() {
-			allStreams = append(allStreams, payload[b.CompOff:b.CompOff+b.CompLen])
-		}
+		allStreams = append(allStreams, streams...)
 		opts.Obs.Counter("culzss_multigpu_shards_total").Inc()
-		if degraded {
+		if res.Degraded {
 			rep.DegradedShards++
 			opts.Obs.Counter("culzss_multigpu_degraded_shards_total").Inc()
 			continue
 		}
+		r := res.Report
 		rep.PerDevice = append(rep.PerDevice, r)
 		rep.BusTime += r.H2D + r.D2H
 		if r.Launch.KernelTime > rep.KernelSpan {
@@ -170,4 +145,42 @@ func CompressV1MultiGPU(data []byte, opts Options, nGPUs int) ([]byte, *MultiGPU
 	rep.HostTime += concat
 	rep.OutputBytes = len(container)
 	return container, rep, nil
+}
+
+// v1Shard is the shard runner of the §VII schedulers (multi-GPU,
+// streamed, hybrid): it compresses one chunk-aligned shard with the V1
+// kernel and returns the shard's chunk streams, which alias the shard's
+// container. Under opts.Health the shard rides the supervisor's pool
+// (dispatch, with home and op as there); otherwise it is one CompressV1
+// launch. The Outcome carries the shard's report and whether it degraded
+// to the CPU.
+func v1Shard(shard []byte, opts Options, home int, op string) ([][]byte, Outcome, error) {
+	var res Outcome
+	var err error
+	if opts.Health != nil {
+		res, err = dispatch(engineV1{}, opts.Health, shard, opts, home, op)
+	} else {
+		res.Container, res.Report, err = CompressV1(shard, opts)
+	}
+	if err != nil {
+		return nil, res, err
+	}
+	// Unwrap the shard's container back into its chunk streams so one
+	// final container covers the whole input.
+	h, off, err := format.ParseHeader(res.Container)
+	if err != nil {
+		return nil, res, fmt.Errorf("gpu: %s: reparsing container: %w", op, err)
+	}
+	payload := res.Container[off:]
+	streams := make([][]byte, len(h.ChunkSizes))
+	for i, b := range h.ChunkBounds() {
+		streams[i] = payload[b.CompOff : b.CompOff+b.CompLen]
+	}
+	return streams, res, nil
+}
+
+// chunkSpan returns chunks [c0, c1) of data cut at chunkSize: the one
+// rule that sizes every V1 shard.
+func chunkSpan(data []byte, chunkSize, c0, c1 int) []byte {
+	return data[min(c0*chunkSize, len(data)):min(c1*chunkSize, len(data))]
 }

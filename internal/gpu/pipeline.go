@@ -16,17 +16,14 @@ import (
 // changes. The report's H2D/D2H are folded into the pipelined kernel
 // span, and HostTime remains the serial concatenation.
 func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report, error) {
-	// Validate everything before the empty-input early return so bad
-	// stream counts and bad configs error consistently for every input.
+	// Check everything before the empty-input early return so bad
+	// stream counts, bad configs and a cancelled context error
+	// consistently for every input.
 	if streams < 1 {
 		return nil, nil, fmt.Errorf("gpu: need >= 1 stream, got %d", streams)
 	}
-	opts.fill(format.CodecCULZSSV1)
-	if err := opts.Config.Validate(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV1); err != nil {
 		return nil, nil, err
-	}
-	if opts.Config.Window > 256 || opts.Config.MaxMatch-opts.Config.MinMatch > 255 {
-		return nil, nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", opts.Config)
 	}
 	if len(data) == 0 {
 		return CompressV1(data, opts)
@@ -39,9 +36,7 @@ func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report
 	// two sizes" — any chunk-aligned split preserves the output).
 	chunkSize := opts.ChunkSize
 	nChunks := (len(data) + chunkSize - 1) / chunkSize
-	if streams > nChunks {
-		streams = nChunks
-	}
+	streams = min(streams, nChunks)
 	perStream := (nChunks + streams - 1) / streams
 
 	var stages []cudasim.PipelineStage
@@ -56,46 +51,20 @@ func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report
 		if err := opts.ctxErr(); err != nil {
 			return nil, nil, fmt.Errorf("gpu: stream %d: %w", s, err)
 		}
-		lo := s * perStream * chunkSize
-		if lo >= len(data) {
+		slice := chunkSpan(data, chunkSize, s*perStream, (s+1)*perStream)
+		if len(slice) == 0 {
 			break
 		}
-		hi := lo + perStream*chunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		slice := data[lo:hi]
-		var (
-			cont     []byte
-			rep      *Report
-			degraded bool
-			err      error
-		)
-		if opts.Health != nil {
-			// Supervised: the slice rides the device pool (redispatch on
-			// failure, CPU degrade when the pool is out) so one sick
-			// device cannot stall the stream.
-			var res Outcome
-			res, err = dispatch(engineV1{}, opts.Health, slice, opts, -1, fmt.Sprintf("stream %d", s))
-			cont, rep, degraded = res.Container, res.Report, res.Degraded
-		} else {
-			cont, rep, err = CompressV1(slice, opts)
-		}
+		// Supervised, the slice rides the device pool (redispatch on
+		// failure, CPU degrade when the pool is out) so one sick device
+		// cannot stall the stream.
+		sliceStreams, res, err := v1Shard(slice, opts, -1, fmt.Sprintf("stream %d", s))
 		if err != nil {
 			return nil, nil, fmt.Errorf("gpu: stream %d: %w", s, err)
 		}
-		// Unwrap the per-slice container back into raw chunk streams so
-		// one final container covers the whole input.
-		h, off, err := format.ParseHeader(cont)
-		if err != nil {
-			return nil, nil, fmt.Errorf("gpu: stream %d: reparsing slice container: %w", s, err)
-		}
-		payload := cont[off:]
-		for _, b := range h.ChunkBounds() {
-			allStreams = append(allStreams, payload[b.CompOff:b.CompOff+b.CompLen])
-		}
+		allStreams = append(allStreams, sliceStreams...)
 		opts.Obs.Counter("culzss_streamed_slices_total").Inc()
-		if degraded {
+		if res.Degraded {
 			// A CPU-encoded slice contributes no pipeline stage and no
 			// launch counters; the bytes are identical regardless.
 			opts.Obs.Counter("culzss_streamed_degraded_slices_total").Inc()
@@ -104,6 +73,7 @@ func CompressV1Streamed(data []byte, opts Options, streams int) ([]byte, *Report
 		// Saturated slice kernel times: wave-granularity artifacts of
 		// slicing (16 blocks over 15 SMs leaving one SM double-loaded)
 		// are scheduling noise a real stream queue backfills away.
+		rep := res.Report
 		stages = append(stages, cudasim.PipelineStage{
 			H2D: rep.H2D, Kernel: rep.Launch.SaturatedKernelTime, D2H: rep.D2H,
 		})

@@ -107,18 +107,11 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	// machinery up to the match records. To keep the implementations
 	// honest and separate, the matching kernel runs again here with the
 	// selection kernel appended per block.
-	opts.fill(format.CodecCULZSSV2)
-	if err := opts.ctxErr(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV2); err != nil {
 		return nil, nil, err
 	}
 	dev := opts.device()
 	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Window > 256 || cfg.MaxMatch-cfg.MinMatch > 255 {
-		return nil, nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
-	}
 
 	chunks := format.SplitChunks(data, opts.ChunkSize)
 	nChunks := len(chunks)
@@ -182,11 +175,7 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	if err := opts.transferFault("d2h"); err != nil {
 		return nil, nil, err
 	}
-	if opts.Stats != nil {
-		for i := range statsPer {
-			opts.Stats.Add(statsPer[i])
-		}
-	}
+	opts.addStats(statsPer)
 
 	// Host: serialise the pre-selected tokens (no decision-making left).
 	hostStart := time.Now()
@@ -215,7 +204,7 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	report := &Report{
 		Launch:         rep,
 		H2D:            dev.TransferTime(len(data)),
-		D2H:            dev.TransferTime(len(data)/8 + 3*tokenBytes(streams)),
+		D2H:            dev.TransferTime(len(data)/8 + 3*totalLen(streams)),
 		HostTime:       postTime + concatTime,
 		HostOverlapped: opts.OverlapHost,
 		InputBytes:     len(data),
@@ -223,14 +212,4 @@ func CompressV2GPUPost(data []byte, opts Options) ([]byte, *Report, error) {
 	}
 	observeReport(opts.Obs, "culzss_v2_gpupost", report)
 	return container, report, nil
-}
-
-// tokenBytes sums the emitted stream lengths (the D2H volume shrinks to
-// the selected tokens plus the selection bitmap).
-func tokenBytes(streams [][]byte) int {
-	n := 0
-	for _, s := range streams {
-		n += len(s)
-	}
-	return n
 }

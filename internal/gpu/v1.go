@@ -13,21 +13,19 @@ import (
 // LZSS with shared-memory windows (paper §III.B.1). It returns the
 // container, the performance report, and an error.
 func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
-	opts.fill(format.CodecCULZSSV1)
-	if err := opts.ctxErr(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV1); err != nil {
 		return nil, nil, err
 	}
 	dev := opts.device()
 	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Window > 256 || cfg.MaxMatch-cfg.MinMatch > 255 {
-		return nil, nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
-	}
 
-	chunks := format.SplitChunks(data, opts.ChunkSize)
-	nChunks := len(chunks)
+	// Device-side buckets: worst-case capacity per chunk; the host strips
+	// the empty tails afterwards. Functionally each thread encodes out of
+	// its host-mapped chunk slice into a pooled buffer; the traffic model
+	// is charged through ThreadCtx.GlobalAccess below.
+	lanes := newV1Lanes(data, &opts)
+	defer lanes.release()
+	nChunks := len(lanes.chunks)
 	tpb := opts.ThreadsPerBlock
 	blocks := (nChunks + tpb - 1) / tpb
 	if blocks == 0 {
@@ -43,15 +41,6 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 		sharedPerBlock = 0 // buffers live in global memory instead
 	}
 
-	// Device-side buckets: worst-case capacity per chunk; the host strips
-	// the empty tails afterwards. Functionally each thread encodes out of
-	// its host-mapped chunk slice into a pooled buffer; the traffic model
-	// is charged through ThreadCtx.GlobalAccess below.
-	bucketCap := lzss.MaxEncodedLenByteAligned(opts.ChunkSize)
-	streams := make([][]byte, nChunks)
-	buckets := make([]*[]byte, nChunks)
-	defer releaseBuckets(buckets)
-	statsPer := make([]lzss.SearchStats, nChunks)
 	var rec faultRecorder
 
 	if err := opts.transferFault("h2d"); err != nil {
@@ -75,19 +64,16 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 			if ci >= nChunks || rec.tripped() {
 				return // early abort: a recorded fault voids the launch
 			}
-			chunk := chunks[ci]
-			st := &statsPer[ci]
-			buckets[ci] = getBucket(bucketCap)
-			comp, err := lzss.AppendEncodedByteAligned((*buckets[ci])[:0], chunk, cfg, lzss.SearchBrute, st)
+			comp, err := lanes.encode(ci)
 			if err != nil {
 				rec.record(ci, fmt.Errorf("gpu: v1 chunk %d: %w", ci, err))
 				return
 			}
-			if len(comp) > bucketCap {
-				rec.record(ci, fmt.Errorf("gpu: v1 chunk %d overflows bucket: %d > %d", ci, len(comp), bucketCap))
+			if len(comp) > lanes.bucketCap {
+				rec.record(ci, fmt.Errorf("gpu: v1 chunk %d overflows bucket: %d > %d", ci, len(comp), lanes.bucketCap))
 				return
 			}
-			*buckets[ci], streams[ci] = comp, comp
+			chunk, st := lanes.chunks[ci], &lanes.stats[ci]
 
 			// --- timing model ---
 			// Compute: the search loop dominated by byte comparisons,
@@ -125,17 +111,15 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 	if err := opts.transferFault("d2h"); err != nil {
 		return nil, nil, err
 	}
-	if opts.Stats != nil {
-		for i := range statsPer {
-			opts.Stats.Add(statsPer[i])
-		}
-	}
+	opts.addStats(lanes.stats)
 
-	container, hostTime := assembleContainer(format.CodecCULZSSV1, cfg, opts.ChunkSize, data, streams)
+	container, hostTime := assembleContainer(format.CodecCULZSSV1, cfg, opts.ChunkSize, data, lanes.streams)
 	report := &Report{
-		Launch:      rep,
-		H2D:         dev.TransferTime(len(data)),
-		D2H:         dev.TransferTime(containerPayloadLen(streams) + 4*nChunks),
+		Launch: rep,
+		H2D:    dev.TransferTime(len(data)),
+		// The paper returns "partial full buckets" and copies back only
+		// the filled prefixes plus the size list.
+		D2H:         dev.TransferTime(totalLen(lanes.streams) + 4*nChunks),
 		HostTime:    hostTime,
 		InputBytes:  len(data),
 		OutputBytes: len(container),
@@ -144,35 +128,57 @@ func CompressV1(data []byte, opts Options) ([]byte, *Report, error) {
 	return container, report, nil
 }
 
-// v1Buckets pools the lanes' chunk streams across launches.
-var v1Buckets = sync.Pool{New: func() any { return new([]byte) }}
-
-// getBucket returns a pooled stream buffer of at least n bytes' capacity.
-func getBucket(n int) *[]byte {
-	b := v1Buckets.Get().(*[]byte)
-	if cap(*b) < n {
-		*b = make([]byte, 0, n)
-	}
-	return b
+// v1Lanes is one V1 run's per-chunk work: each chunk's byte-aligned
+// stream from the brute-force search, written into a pooled bucket of
+// worst-case capacity, and its search counters. The kernel's lanes,
+// CompressV1CPU and hybrid's CPU share all encode through it, so their
+// streams agree by construction.
+type v1Lanes struct {
+	chunks    [][]byte
+	cfg       lzss.Config
+	bucketCap int
+	streams   [][]byte
+	buckets   []*[]byte
+	stats     []lzss.SearchStats
 }
 
-// releaseBuckets returns a launch's buffers to the pool once its container
+// v1Buckets pools the lanes' chunk streams across runs.
+var v1Buckets = sync.Pool{New: func() any { return new([]byte) }}
+
+// newV1Lanes cuts data into opts' chunks for a V1 run.
+func newV1Lanes(data []byte, opts *Options) *v1Lanes {
+	chunks := format.SplitChunks(data, opts.ChunkSize)
+	return &v1Lanes{
+		chunks:    chunks,
+		cfg:       opts.Config,
+		bucketCap: lzss.MaxEncodedLenByteAligned(opts.ChunkSize),
+		streams:   make([][]byte, len(chunks)),
+		buckets:   make([]*[]byte, len(chunks)),
+		stats:     make([]lzss.SearchStats, len(chunks)),
+	}
+}
+
+// encode encodes chunk ci into its bucket and returns its stream.
+func (l *v1Lanes) encode(ci int) ([]byte, error) {
+	b := v1Buckets.Get().(*[]byte)
+	if cap(*b) < l.bucketCap {
+		*b = make([]byte, 0, l.bucketCap)
+	}
+	l.buckets[ci] = b
+	comp, err := lzss.AppendEncodedByteAligned((*b)[:0], l.chunks[ci], l.cfg, lzss.SearchBrute, &l.stats[ci])
+	if err != nil {
+		return nil, err
+	}
+	*b, l.streams[ci] = comp, comp
+	return comp, nil
+}
+
+// release returns the run's buckets to the pool once its container
 // holds a copy of their streams. Chunks that never ran have none.
-func releaseBuckets(buckets []*[]byte) {
-	for _, b := range buckets {
+func (l *v1Lanes) release() {
+	for _, b := range l.buckets {
 		if b != nil {
 			v1Buckets.Put(b)
 		}
 	}
-}
-
-// containerPayloadLen sums per-chunk stream lengths (the bytes actually
-// copied back: the paper returns "partial full buckets" and copies only
-// the filled prefixes plus the size list).
-func containerPayloadLen(streams [][]byte) int {
-	n := 0
-	for _, s := range streams {
-		n += len(s)
-	}
-	return n
 }

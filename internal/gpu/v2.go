@@ -15,18 +15,11 @@ import (
 // window search and the serial host post-pass that selects the surviving
 // tokens and generates the encoding flags (paper §III.B.2–3).
 func CompressV2(data []byte, opts Options) ([]byte, *Report, error) {
-	opts.fill(format.CodecCULZSSV2)
-	if err := opts.ctxErr(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV2); err != nil {
 		return nil, nil, err
 	}
 	dev := opts.device()
 	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Window > 256 || cfg.MaxMatch-cfg.MinMatch > 255 {
-		return nil, nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
-	}
 
 	chunks := format.SplitChunks(data, opts.ChunkSize)
 	nChunks := len(chunks)
@@ -134,11 +127,7 @@ func CompressV2(data []byte, opts Options) ([]byte, *Report, error) {
 	if err := opts.transferFault("d2h"); err != nil {
 		return nil, nil, err
 	}
-	if opts.Stats != nil {
-		for i := range statsPer {
-			opts.Stats.Add(statsPer[i])
-		}
-	}
+	opts.addStats(statsPer)
 
 	// --- Host post-pass (§III.B.3) ---
 	hostStart := time.Now()

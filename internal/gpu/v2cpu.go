@@ -19,17 +19,10 @@ import (
 // segments, and the two must be indistinguishable to the Reader and to
 // parity reconstruction (which covers exact frame bytes).
 func CompressV2CPU(data []byte, opts Options) ([]byte, error) {
-	opts.fill(format.CodecCULZSSV2)
-	if err := opts.ctxErr(); err != nil {
+	if err := opts.enter(format.CodecCULZSSV2); err != nil {
 		return nil, err
 	}
 	cfg := opts.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Window > 256 || cfg.MaxMatch-cfg.MinMatch > 255 {
-		return nil, fmt.Errorf("gpu: config %+v does not fit the 16-bit token", cfg)
-	}
 
 	chunks := format.SplitChunks(data, opts.ChunkSize)
 	tpb := opts.ThreadsPerBlock
@@ -37,7 +30,7 @@ func CompressV2CPU(data []byte, opts Options) ([]byte, error) {
 	defer releaseV2Records(recs)
 	streams := make([][]byte, len(chunks))
 	statsPer := make([]lzss.SearchStats, len(chunks))
-	if err := hostChunks(0, len(chunks), opts.HostWorkers, func(ci int) error {
+	if err := format.RunChunks(0, len(chunks), opts.HostWorkers, func(ci int) error {
 		recs[ci] = getV2Records(len(chunks[ci]))
 		comp, err := encodeV2Chunk(chunks[ci], &cfg, tpb, recs[ci], &statsPer[ci])
 		if err != nil {
@@ -48,11 +41,7 @@ func CompressV2CPU(data []byte, opts Options) ([]byte, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if opts.Stats != nil {
-		for i := range statsPer {
-			opts.Stats.Add(statsPer[i])
-		}
-	}
+	opts.addStats(statsPer)
 
 	container, _ := assembleContainer(format.CodecCULZSSV2, cfg, opts.ChunkSize, data, streams)
 	return container, nil

@@ -28,7 +28,9 @@ func roundTripStd(t *testing.T, data []byte, level int) {
 	}
 }
 
-func TestStdlibDecodesOurOutput(t *testing.T) {
+// stdlibCases are the edge cases, runs, text and random inputs that the
+// standard library's reader must decode.
+func stdlibCases() map[string][]byte {
 	rng := rand.New(rand.NewSource(1))
 	randBytes := make([]byte, 50000)
 	rng.Read(randBytes)
@@ -38,7 +40,7 @@ func TestStdlibDecodesOurOutput(t *testing.T) {
 		text.WriteString(words[rng.Intn(len(words))])
 		text.WriteByte(' ')
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"empty":     {},
 		"one":       {42},
 		"short":     []byte("hello, bzip2 world"),
@@ -57,7 +59,10 @@ func TestStdlibDecodesOurOutput(t *testing.T) {
 		"zeros": make([]byte, 30000),
 		"alt":   bytes.Repeat([]byte{0, 255}, 5000),
 	}
-	for name, data := range cases {
+}
+
+func TestStdlibDecodesOurOutput(t *testing.T) {
+	for name, data := range stdlibCases() {
 		t.Run(name, func(t *testing.T) {
 			roundTripStd(t, data, 9)
 		})
@@ -78,9 +83,9 @@ func TestAllLevels(t *testing.T) {
 	}
 }
 
-func TestMultiBlockStreams(t *testing.T) {
-	// Level 1 = 100 kB blocks; 350 kB input = 4 blocks, exercising the
-	// stream CRC combination.
+// multiBlockInput is 350 kB of text with scattered runs: four blocks at
+// level 1, which exercises the stream CRC combination.
+func multiBlockInput() []byte {
 	rng := rand.New(rand.NewSource(2))
 	var sb strings.Builder
 	for sb.Len() < 350000 {
@@ -89,7 +94,11 @@ func TestMultiBlockStreams(t *testing.T) {
 			sb.WriteString(strings.Repeat("z", rng.Intn(300)))
 		}
 	}
-	roundTripStd(t, []byte(sb.String()), 1)
+	return []byte(sb.String())
+}
+
+func TestMultiBlockStreams(t *testing.T) {
+	roundTripStd(t, multiBlockInput(), 1)
 }
 
 func TestQuickAgainstStdlib(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 	"os"
 	"strings"
 
-	"culzss/internal/bzip2/bzfile"
+	"culzss/internal/bzip2"
 	"culzss/internal/stats"
 )
 
@@ -83,7 +83,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := bzfile.Encode(of, data, *level); err != nil {
+	if err := bzip2.EncodeBZ2(of, data, *level); err != nil {
 		of.Close()
 		return err
 	}

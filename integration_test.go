@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"culzss/internal/bzip2"
-	"culzss/internal/bzip2/bzfile"
 	"culzss/internal/codec"
 	"culzss/internal/core"
 	"culzss/internal/datasets"
@@ -81,9 +80,9 @@ func TestCrossImplementationAgreement(t *testing.T) {
 	}
 }
 
-// TestBZip2FamilyConsistency ties the internal bzip2 baseline to the
-// interchange writer: both run the same pipeline, and the interchange
-// stream must decode with the standard library.
+// TestBZip2FamilyConsistency ties the bzip2 baseline's container to its
+// .bz2 writer: both serialize the same stages, and the .bz2 stream must
+// decode with the standard library.
 func TestBZip2FamilyConsistency(t *testing.T) {
 	data := datasets.CFiles(256<<10, 31337)
 
@@ -97,7 +96,7 @@ func TestBZip2FamilyConsistency(t *testing.T) {
 	}
 
 	var bz bytes.Buffer
-	if err := bzfile.Encode(&bz, data, 9); err != nil {
+	if err := bzip2.EncodeBZ2(&bz, data, 9); err != nil {
 		t.Fatal(err)
 	}
 	bzLen := bz.Len() // the reader below drains the buffer

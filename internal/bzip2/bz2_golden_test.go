@@ -1,4 +1,4 @@
-package bzfile
+package bzip2
 
 import (
 	"bytes"
@@ -105,7 +105,7 @@ func TestGoldenBZ2Bytes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for i, level := range []int{1, 9} {
 				var buf bytes.Buffer
-				if err := Encode(&buf, data, level); err != nil {
+				if err := EncodeBZ2(&buf, data, level); err != nil {
 					t.Fatalf("level %d: %v", level, err)
 				}
 				sum := sha256.Sum256(buf.Bytes())

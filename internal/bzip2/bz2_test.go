@@ -1,4 +1,4 @@
-package bzfile
+package bzip2
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // roundTripStd encodes with this package and decodes with the standard
@@ -16,7 +15,7 @@ import (
 func roundTripStd(t *testing.T, data []byte, level int) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Encode(&buf, data, level); err != nil {
+	if err := EncodeBZ2(&buf, data, level); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	got, err := io.ReadAll(stdbzip2.NewReader(&buf))
@@ -75,10 +74,10 @@ func TestAllLevels(t *testing.T) {
 		roundTripStd(t, data, level)
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, data, 0); err == nil {
+	if err := EncodeBZ2(&buf, data, 0); err == nil {
 		t.Fatal("accepted level 0")
 	}
-	if err := Encode(&buf, data, 10); err == nil {
+	if err := EncodeBZ2(&buf, data, 10); err == nil {
 		t.Fatal("accepted level 10")
 	}
 }
@@ -101,30 +100,30 @@ func TestMultiBlockStreams(t *testing.T) {
 	roundTripStd(t, multiBlockInput(), 1)
 }
 
-func TestQuickAgainstStdlib(t *testing.T) {
-	f := func(data []byte) bool {
-		var buf bytes.Buffer
-		if err := Encode(&buf, data, 5); err != nil {
-			return false
-		}
-		got, err := io.ReadAll(stdbzip2.NewReader(&buf))
+// FuzzEncodeBZ2 checks both serializations of the shared stages on any
+// input: the standard library's reader must decode the .bz2 writer's
+// output back to it, and the container must round-trip it.
+func FuzzEncodeBZ2(f *testing.F) {
+	for _, data := range stdlibCases() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roundTripStd(t, data, 1)
+		comp, err := Compress(data, Options{BlockSize: 4096, Workers: 1})
 		if err != nil {
-			return false
+			t.Fatalf("compress: %v", err)
 		}
-		if len(data) == 0 {
-			return len(got) == 0
+		got, err := Decompress(comp, 1)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("container round trip: %v", err)
 		}
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestCompressesText(t *testing.T) {
 	data := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 2000)
 	var buf bytes.Buffer
-	if err := Encode(&buf, data, 9); err != nil {
+	if err := EncodeBZ2(&buf, data, 9); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > len(data)/10 {
@@ -141,7 +140,7 @@ func TestCRC32bzKnownValue(t *testing.T) {
 
 func TestRLE1FormatCap(t *testing.T) {
 	// The format caps a run unit at 4+251 = 255 source bytes.
-	enc := rle1(bytes.Repeat([]byte{'q'}, 1000))
+	enc := rle1Encode(bytes.Repeat([]byte{'q'}, 1000), bz2MaxRun)
 	for i := 0; i+4 < len(enc); {
 		if enc[i] == enc[i+1] && enc[i] == enc[i+2] && enc[i] == enc[i+3] {
 			if enc[i+4] > 251 {
@@ -156,7 +155,7 @@ func TestRLE1FormatCap(t *testing.T) {
 
 func TestHeaderBytes(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, []byte("x"), 7); err != nil {
+	if err := EncodeBZ2(&buf, []byte("x"), 7); err != nil {
 		t.Fatal(err)
 	}
 	hdr := buf.Bytes()[:4]

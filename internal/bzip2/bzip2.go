@@ -7,9 +7,12 @@
 // It intentionally reproduces the algorithmic structure (and therefore the
 // performance character) of the real program: block-at-a-time operation,
 // a depth-limited block sort with a fallback that dominates on repetitive
-// input, and group-of-50 Huffman table selection. The on-disk format is
-// this repository's container (internal/format), not the .bz2 interchange
-// format.
+// input, and group-of-50 Huffman table selection. Compress writes this
+// repository's container (internal/format), which the evaluation uses.
+// EncodeBZ2 writes the same stages into the real .bz2 interchange format;
+// each stage takes the format's choices (run cap, MTF alphabet, EOB
+// symbol, table count, code-length cap) as arguments, so the standard
+// library's reader checks the container's encoder too.
 package bzip2
 
 import (
@@ -104,7 +107,8 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 	return out, nil
 }
 
-// nTablesFor mirrors bzip2's table-count heuristic on the group count.
+// nTablesFor is bzip2's table count for a block of nSyms symbols, two to
+// six. The container caps it at its group count.
 func nTablesFor(nSyms int) int {
 	switch {
 	case nSyms < 200:
@@ -122,38 +126,52 @@ func nTablesFor(nSyms int) int {
 
 // compressBlock runs the full forward pipeline over one block.
 func compressBlock(chunk []byte, st *bwt.Stats) []byte {
-	rle1 := rle1Encode(chunk)
+	rle1 := rle1Encode(chunk, rle1MaxRun)
 	last, primary := bwt.Transform(rle1, st)
-	mtf := mtfEncode(last)
-	syms := rle2Encode(mtf)
+	syms := rle2Encode(mtfEncode(last, byteValues[:]), symEOB)
+	nTables := min(nTablesFor(len(syms)), (len(syms)+groupSize-1)/groupSize)
+	lengths, selectors := refineTables(syms, alphaSize, nTables, huffman.MaxCodeLen)
 
+	// Serialise the block.
+	w := bitio.NewWriter(len(chunk)/3 + 256)
+	w.WriteBits(uint64(len(rle1)), 32)
+	w.WriteBits(uint64(primary), 32)
+	w.WriteBits(uint64(nTables), 8)
+	w.WriteBits(uint64(len(selectors)), 32)
+	for _, sel := range selectors {
+		w.WriteBits(uint64(sel), selectorBits)
+	}
+	for _, table := range lengths {
+		for _, l := range table {
+			w.WriteBits(uint64(l), 5)
+		}
+	}
+	writeSymbols(w, syms, lengths, selectors)
+	return w.Bytes()
+}
+
+// group returns the g-th group of groupSize symbols.
+func group(syms []uint16, g int) []uint16 {
+	return syms[g*groupSize : min((g+1)*groupSize, len(syms))]
+}
+
+// refineTables builds nTables Huffman tables over alphaSize symbols, no
+// code longer than maxLen bits, and picks one per group of syms the way
+// bzip2 does (N_ITERS = 4): start from a round-robin assignment, then
+// alternate (a) rebuild each table from its groups' frequencies, (b)
+// reassign each group to its cheapest table. It returns each table's code
+// lengths and each group's table.
+func refineTables(syms []uint16, alphaSize, nTables, maxLen int) ([][]uint8, []int) {
 	nGroups := (len(syms) + groupSize - 1) / groupSize
-	nTables := nTablesFor(len(syms))
-	if nTables > nGroups {
-		nTables = nGroups
-	}
-	if nTables < 1 {
-		nTables = 1
-	}
-
-	// Per-group frequency tables.
 	groupFreq := make([][]int64, nGroups)
 	for g := range groupFreq {
 		f := make([]int64, alphaSize)
-		lo, hi := g*groupSize, (g+1)*groupSize
-		if hi > len(syms) {
-			hi = len(syms)
-		}
-		for _, s := range syms[lo:hi] {
+		for _, s := range group(syms, g) {
 			f[s]++
 		}
 		groupFreq[g] = f
 	}
 
-	// Iterative table refinement (bzip2 does N_ITERS=4): start from a
-	// round-robin assignment, then alternate (a) rebuild each table from
-	// its groups' frequencies, (b) reassign each group to its cheapest
-	// table.
 	selectors := make([]int, nGroups)
 	for g := range selectors {
 		selectors[g] = g % nTables
@@ -170,19 +188,15 @@ func compressBlock(chunk []byte, st *bwt.Stats) []byte {
 			}
 		}
 		lengths = make([][]uint8, nTables)
-		for t := range lengths {
+		for t, f := range freqs {
 			// Zero frequencies become one so every table covers the full
 			// alphabet (as hbMakeCodeLengths does).
-			f := freqs[t]
-			padded := make([]int64, alphaSize)
-			for s := range padded {
-				if f[s] > 0 {
-					padded[s] = f[s]
-				} else {
-					padded[s] = 1
+			for s := range f {
+				if f[s] == 0 {
+					f[s] = 1
 				}
 			}
-			lengths[t] = huffman.BuildLengths(padded)
+			lengths[t] = huffman.BuildLengths(f, maxLen)
 		}
 		for g := range selectors {
 			best, bestCost := 0, int64(1)<<62
@@ -200,8 +214,13 @@ func compressBlock(chunk []byte, st *bwt.Stats) []byte {
 			selectors[g] = best
 		}
 	}
+	return lengths, selectors
+}
 
-	encoders := make([]*huffman.Encoder, nTables)
+// writeSymbols writes syms to w, each group of groupSize symbols in the
+// canonical code of the table its selector names.
+func writeSymbols(w *bitio.Writer, syms []uint16, lengths [][]uint8, selectors []int) {
+	encoders := make([]*huffman.Encoder, len(lengths))
 	for t := range encoders {
 		enc, err := huffman.NewEncoder(lengths[t])
 		if err != nil {
@@ -211,34 +230,13 @@ func compressBlock(chunk []byte, st *bwt.Stats) []byte {
 		}
 		encoders[t] = enc
 	}
-
-	// Serialise the block.
-	w := bitio.NewWriter(len(chunk)/3 + 256)
-	w.WriteBits(uint64(len(rle1)), 32)
-	w.WriteBits(uint64(primary), 32)
-	w.WriteBits(uint64(nTables), 8)
-	w.WriteBits(uint64(nGroups), 32)
-	for _, sel := range selectors {
-		w.WriteBits(uint64(sel), selectorBits)
-	}
-	for t := 0; t < nTables; t++ {
-		for s := 0; s < alphaSize; s++ {
-			w.WriteBits(uint64(lengths[t][s]), 5)
-		}
-	}
-	for g := 0; g < nGroups; g++ {
-		enc := encoders[selectors[g]]
-		lo, hi := g*groupSize, (g+1)*groupSize
-		if hi > len(syms) {
-			hi = len(syms)
-		}
-		for _, s := range syms[lo:hi] {
-			if err := enc.Encode(w, int(s)); err != nil {
+	for g, sel := range selectors {
+		for _, s := range group(syms, g) {
+			if err := encoders[sel].Encode(w, int(s)); err != nil {
 				panic(fmt.Sprintf("bzip2: internal: %v", err))
 			}
 		}
 	}
-	return w.Bytes()
 }
 
 // decompressBlock inverts compressBlock.

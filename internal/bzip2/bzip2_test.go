@@ -24,7 +24,7 @@ func genText(n int, seed int64) []byte {
 
 func TestMTFRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(mtfDecode(mtfEncode(data)), data)
+		return bytes.Equal(mtfDecode(mtfEncode(data, byteValues[:])), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -33,16 +33,16 @@ func TestMTFRoundTrip(t *testing.T) {
 
 func TestMTFKnownValues(t *testing.T) {
 	// "aaa" -> first 'a' is at index 97, then front.
-	got := mtfEncode([]byte("aaa"))
+	got := mtfEncode([]byte("aaa"), byteValues[:])
 	if got[0] != 97 || got[1] != 0 || got[2] != 0 {
 		t.Fatalf("mtf(aaa) = %v", got)
 	}
 	// After 'a' moved to front, 'b' sits at index 98.
-	got = mtfEncode([]byte("ab"))
+	got = mtfEncode([]byte("ab"), byteValues[:])
 	if got[0] != 97 || got[1] != 98 {
 		t.Fatalf("mtf(ab) = %v", got)
 	}
-	got = mtfEncode([]byte("aba"))
+	got = mtfEncode([]byte("aba"), byteValues[:])
 	if got[2] != 1 {
 		t.Fatalf("mtf(aba)[2] = %d, want 1", got[2])
 	}
@@ -60,7 +60,7 @@ func TestRLE1RoundTrip(t *testing.T) {
 		[]byte("aaabbbbccccc"),
 	}
 	for _, in := range inputs {
-		enc := rle1Encode(in)
+		enc := rle1Encode(in, rle1MaxRun)
 		dec, err := rle1Decode(enc)
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
@@ -73,14 +73,14 @@ func TestRLE1RoundTrip(t *testing.T) {
 
 func TestRLE1CompressesRuns(t *testing.T) {
 	in := bytes.Repeat([]byte{'z'}, 1000)
-	enc := rle1Encode(in)
+	enc := rle1Encode(in, rle1MaxRun)
 	if len(enc) > 30 {
 		t.Fatalf("1000-byte run encoded to %d bytes", len(enc))
 	}
 }
 
 func TestRLE1RejectsTruncation(t *testing.T) {
-	enc := rle1Encode(bytes.Repeat([]byte{'q'}, 100))
+	enc := rle1Encode(bytes.Repeat([]byte{'q'}, 100), rle1MaxRun)
 	if _, err := rle1Decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("accepted truncated RLE1")
 	}
@@ -88,7 +88,7 @@ func TestRLE1RejectsTruncation(t *testing.T) {
 
 func TestRLE1Quick(t *testing.T) {
 	f := func(data []byte) bool {
-		dec, err := rle1Decode(rle1Encode(data))
+		dec, err := rle1Decode(rle1Encode(data, rle1MaxRun))
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -107,7 +107,7 @@ func TestRLE2RoundTrip(t *testing.T) {
 		{255, 0, 255},
 	}
 	for _, in := range inputs {
-		syms := rle2Encode(in)
+		syms := rle2Encode(in, symEOB)
 		if syms[len(syms)-1] != symEOB {
 			t.Fatalf("%v: missing EOB", in)
 		}
@@ -123,7 +123,7 @@ func TestRLE2RoundTrip(t *testing.T) {
 
 func TestRLE2ZeroRunsCrush(t *testing.T) {
 	in := bytes.Repeat([]byte{0}, 10000)
-	syms := rle2Encode(in)
+	syms := rle2Encode(in, symEOB)
 	// 10000 zeros need ~log2(10000) RUNA/RUNB symbols plus EOB.
 	if len(syms) > 20 {
 		t.Fatalf("10000 zeros became %d symbols", len(syms))
@@ -144,7 +144,7 @@ func TestRLE2Errors(t *testing.T) {
 
 func TestRLE2Quick(t *testing.T) {
 	f := func(data []byte) bool {
-		dec, err := rle2Decode(rle2Encode(data))
+		dec, err := rle2Decode(rle2Encode(data, symEOB))
 		if err != nil {
 			return false
 		}

@@ -3,9 +3,9 @@
 //
 // Codes are canonical: only the code lengths travel in the stream; both
 // sides reconstruct identical codes by assigning values in (length,
-// symbol) order. Lengths are limited to MaxCodeLen the way bzip2 does it —
-// when a tree comes out too deep, frequencies are halved (keeping them
-// positive) and the tree is rebuilt.
+// symbol) order. Lengths are limited to the caller's cap, at most
+// MaxCodeLen, the way bzip2 does it — when a tree comes out too deep,
+// frequencies are halved (keeping them positive) and the tree is rebuilt.
 package huffman
 
 import (
@@ -25,15 +25,16 @@ const MaxCodeLen = 20
 var ErrBadCode = errors.New("huffman: invalid code")
 
 // BuildLengths computes canonical code lengths for the given symbol
-// frequencies. Symbols with zero frequency get length 0 (absent). If only
-// one symbol is present it gets length 1. The result never exceeds
-// MaxCodeLen.
-func BuildLengths(freq []int64) []uint8 {
+// frequencies, none longer than maxLen bits. Symbols with zero frequency
+// get length 0 (absent). If only one symbol is present it gets length 1.
+// maxLen is at most MaxCodeLen and must leave room for the present
+// symbols, or damping never ends; bzip2 caps 258 symbols at 17 or 20.
+func BuildLengths(freq []int64, maxLen int) []uint8 {
 	f := make([]int64, len(freq))
 	copy(f, freq)
 	for {
-		lengths, maxLen := buildOnce(f)
-		if maxLen <= MaxCodeLen {
+		lengths, depth := buildOnce(f)
+		if depth <= maxLen {
 			return lengths
 		}
 		// bzip2's trick: damp the distribution and retry.

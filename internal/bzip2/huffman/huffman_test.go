@@ -9,29 +9,29 @@ import (
 
 func TestBuildLengthsBasics(t *testing.T) {
 	// Uniform four symbols -> all length 2.
-	l := BuildLengths([]int64{10, 10, 10, 10})
+	l := BuildLengths([]int64{10, 10, 10, 10}, MaxCodeLen)
 	for s, got := range l {
 		if got != 2 {
 			t.Fatalf("symbol %d length %d, want 2", s, got)
 		}
 	}
 	// Skewed: most frequent symbol gets the shortest code.
-	l = BuildLengths([]int64{100, 10, 10, 1})
+	l = BuildLengths([]int64{100, 10, 10, 1}, MaxCodeLen)
 	if l[0] >= l[3] {
 		t.Fatalf("frequent symbol not shorter: %v", l)
 	}
 	// Absent symbols get zero.
-	l = BuildLengths([]int64{5, 0, 7})
+	l = BuildLengths([]int64{5, 0, 7}, MaxCodeLen)
 	if l[1] != 0 || l[0] == 0 || l[2] == 0 {
 		t.Fatalf("absence handling wrong: %v", l)
 	}
 	// Single present symbol gets length 1.
-	l = BuildLengths([]int64{0, 42, 0})
+	l = BuildLengths([]int64{0, 42, 0}, MaxCodeLen)
 	if l[1] != 1 {
 		t.Fatalf("single symbol length = %d, want 1", l[1])
 	}
 	// Empty.
-	l = BuildLengths([]int64{0, 0})
+	l = BuildLengths([]int64{0, 0}, MaxCodeLen)
 	if l[0] != 0 || l[1] != 0 {
 		t.Fatalf("empty table lengths: %v", l)
 	}
@@ -53,7 +53,7 @@ func TestBuildLengthsKraftEquality(t *testing.T) {
 		if nz < 2 {
 			continue
 		}
-		lengths := BuildLengths(freq)
+		lengths := BuildLengths(freq, MaxCodeLen)
 		var k float64
 		for _, l := range lengths {
 			if l > 0 {
@@ -68,20 +68,23 @@ func TestBuildLengthsKraftEquality(t *testing.T) {
 
 func TestBuildLengthsRespectsLimit(t *testing.T) {
 	// Fibonacci-ish frequencies force deep trees; the damping retry must
-	// cap the depth at MaxCodeLen.
+	// cap the depth at the container's MaxCodeLen and at the .bz2
+	// writer's 17 bits.
 	freq := make([]int64, 40)
 	a, b := int64(1), int64(1)
 	for i := range freq {
 		freq[i] = a
 		a, b = b, a+b
 	}
-	lengths := BuildLengths(freq)
-	for s, l := range lengths {
-		if l == 0 {
-			t.Fatalf("symbol %d dropped", s)
-		}
-		if int(l) > MaxCodeLen {
-			t.Fatalf("symbol %d length %d exceeds limit", s, l)
+	for _, maxLen := range []int{MaxCodeLen, 17} {
+		lengths := BuildLengths(freq, maxLen)
+		for s, l := range lengths {
+			if l == 0 {
+				t.Fatalf("cap %d: symbol %d dropped", maxLen, s)
+			}
+			if int(l) > maxLen {
+				t.Fatalf("cap %d: symbol %d length %d exceeds it", maxLen, s, l)
+			}
 		}
 	}
 }
@@ -90,7 +93,7 @@ func TestBuildLengthsOptimality(t *testing.T) {
 	// Expected code length must beat the trivial fixed-width code on a
 	// skewed distribution.
 	freq := []int64{1000, 500, 100, 50, 10, 5, 1, 1}
-	lengths := BuildLengths(freq)
+	lengths := BuildLengths(freq, MaxCodeLen)
 	var total, weighted int64
 	for s, f := range freq {
 		total += f
@@ -103,7 +106,7 @@ func TestBuildLengthsOptimality(t *testing.T) {
 
 func TestCanonicalCodesPrefixFree(t *testing.T) {
 	freq := []int64{50, 30, 10, 5, 3, 1, 1}
-	lengths := BuildLengths(freq)
+	lengths := BuildLengths(freq, MaxCodeLen)
 	codes, err := CanonicalCodes(lengths)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +145,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		freq[0]++ // ensure at least one present
 		freq[n-1]++
-		lengths := BuildLengths(freq)
+		lengths := BuildLengths(freq, MaxCodeLen)
 		enc, err := NewEncoder(lengths)
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +185,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsAbsentSymbol(t *testing.T) {
-	lengths := BuildLengths([]int64{5, 0, 5})
+	lengths := BuildLengths([]int64{5, 0, 5}, MaxCodeLen)
 	enc, err := NewEncoder(lengths)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +203,7 @@ func TestDecoderErrors(t *testing.T) {
 	if _, err := NewDecoder([]uint8{0, 0}); err == nil {
 		t.Fatal("built decoder for empty table")
 	}
-	lengths := BuildLengths([]int64{5, 5, 5, 5})
+	lengths := BuildLengths([]int64{5, 5, 5, 5}, MaxCodeLen)
 	dec, err := NewDecoder(lengths)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +216,7 @@ func TestDecoderErrors(t *testing.T) {
 }
 
 func TestCodeLen(t *testing.T) {
-	lengths := BuildLengths([]int64{100, 1})
+	lengths := BuildLengths([]int64{100, 1}, MaxCodeLen)
 	enc, err := NewEncoder(lengths)
 	if err != nil {
 		t.Fatal(err)

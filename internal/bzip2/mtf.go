@@ -4,12 +4,20 @@ package bzip2
 // clusters identical bytes, MTF turns locality into a stream dominated by
 // small values — mostly zeros — which the zero-run coder then crushes.
 
-// mtfEncode transforms data into MTF indices.
-func mtfEncode(data []byte) []byte {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
+// byteValues is the container's MTF alphabet: every byte value,
+// ascending. The .bz2 format's alphabet is the block's used bytes.
+var byteValues = func() (b [256]byte) {
+	for i := range b {
+		b[i] = byte(i)
 	}
+	return b
+}()
+
+// mtfEncode transforms data into MTF indices over alphabet, which must
+// hold every byte of data.
+func mtfEncode(data, alphabet []byte) []byte {
+	var list [256]byte
+	copy(list[:], alphabet)
 	out := make([]byte, len(data))
 	for i, c := range data {
 		var j int
@@ -22,12 +30,9 @@ func mtfEncode(data []byte) []byte {
 	return out
 }
 
-// mtfDecode inverts mtfEncode.
+// mtfDecode inverts mtfEncode over byteValues.
 func mtfDecode(idx []byte) []byte {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
-	}
+	list := byteValues
 	out := make([]byte, len(idx))
 	for i, j := range idx {
 		c := list[j]

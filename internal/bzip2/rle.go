@@ -2,24 +2,26 @@ package bzip2
 
 import "fmt"
 
-// Stage 1 run-length encoding — bzip2's pre-BWT pass. Runs of four to 259
-// identical bytes become the byte repeated four times followed by a count
-// byte (run length minus four). Its real job is protecting the block sort
-// from degenerate runs; the paper's highly-compressible dataset (repeating
-// 20-byte substrings) deliberately survives it, which is why that dataset
-// still wrecks the sort (Table I, BZIP2 row).
+// Stage 1 run-length encoding — bzip2's pre-BWT pass. Runs of four to
+// maxRun identical bytes become the byte repeated four times followed by
+// a count byte (run length minus four). Its real job is protecting the
+// block sort from degenerate runs; the paper's highly-compressible
+// dataset (repeating 20-byte substrings) deliberately survives it, which
+// is why that dataset still wrecks the sort (Table I, BZIP2 row).
 
-// rle1MaxRun is the longest run one (byte x4 + count) unit can express.
+// rle1MaxRun is the container's run cap: the longest run one (byte x4 +
+// count) unit can express. The .bz2 format caps runs lower (bz2MaxRun).
 const rle1MaxRun = 4 + 255
 
-// rle1Encode applies the stage-1 RLE.
-func rle1Encode(data []byte) []byte {
+// rle1Encode applies the stage-1 RLE with runs of at most maxRun bytes.
+// It writes at most five bytes for every four it reads.
+func rle1Encode(data []byte, maxRun int) []byte {
 	out := make([]byte, 0, len(data)+len(data)/4+16)
 	i := 0
 	for i < len(data) {
 		c := data[i]
 		run := 1
-		for i+run < len(data) && run < rle1MaxRun && data[i+run] == c {
+		for i+run < len(data) && run < maxRun && data[i+run] == c {
 			run++
 		}
 		if run < 4 {
@@ -62,9 +64,11 @@ func rle1Decode(data []byte) ([]byte, error) {
 
 // Stage 2: the MTF output's zero runs are re-expressed with the RUNA/RUNB
 // symbols in bijective base 2, exactly as bzip2 does; every nonzero MTF
-// value v becomes symbol v+1 and the block ends with EOB.
+// value v becomes symbol v+1 and the block ends with EOB, one above the
+// largest such symbol.
 
-// Symbol space of the entropy-coded stream.
+// Symbol space of the container's entropy-coded stream, and the group
+// and table geometry both formats share.
 const (
 	symRunA      = 0
 	symRunB      = 1
@@ -76,8 +80,8 @@ const (
 )
 
 // rle2Encode maps MTF indices to the RUNA/RUNB symbol stream, appending
-// the EOB symbol.
-func rle2Encode(mtf []byte) []uint16 {
+// eob.
+func rle2Encode(mtf []byte, eob uint16) []uint16 {
 	out := make([]uint16, 0, len(mtf)/2+16)
 	emitRun := func(r int) {
 		// Bijective base 2 with digits {1: RUNA, 2: RUNB}.
@@ -103,10 +107,11 @@ func rle2Encode(mtf []byte) []uint16 {
 		out = append(out, uint16(v)+1)
 	}
 	emitRun(run)
-	return append(out, symEOB)
+	return append(out, eob)
 }
 
-// rle2Decode inverts rle2Encode; the input must end with EOB.
+// rle2Decode inverts the container's rle2Encode; the input must end with
+// symEOB.
 func rle2Decode(syms []uint16) ([]byte, error) {
 	out := make([]byte, 0, len(syms)*2)
 	i := 0

@@ -61,7 +61,7 @@ func TestHuffmanDecoderRandomBits(t *testing.T) {
 	for i := range freq {
 		freq[i] = int64(1 + rng.Intn(100))
 	}
-	dec, err := huffman.NewDecoder(huffman.BuildLengths(freq))
+	dec, err := huffman.NewDecoder(huffman.BuildLengths(freq, huffman.MaxCodeLen))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,13 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 
 	// The run-length stages give no useful bound on a block's output per
 	// payload byte, so the header's OriginalLen is not trusted to size
-	// anything: each block decodes into its own buffer, and the output
-	// is allocated only once every block has produced exactly its share.
+	// anything: each block decodes into its own buffer, no further than
+	// its chunk claims, and the output is allocated only once every block
+	// has produced exactly its share.
 	blocks := make([][]byte, len(bounds))
 	if err := format.RunChunks(0, len(bounds), workers, func(i int) error {
 		b := bounds[i]
-		dec, err := decompressBlock(payload[b.CompOff : b.CompOff+b.CompLen])
+		dec, err := decompressBlock(payload[b.CompOff:b.CompOff+b.CompLen], b.UncompLen)
 		if err != nil {
 			return fmt.Errorf("bzip2: block %d: %w: %v", b.Index, format.ErrCorrupt, err)
 		}
@@ -239,12 +240,18 @@ func writeSymbols(w *bitio.Writer, syms []uint16, lengths [][]uint8, selectors [
 	}
 }
 
-// decompressBlock inverts compressBlock.
-func decompressBlock(stream []byte) ([]byte, error) {
+// decompressBlock inverts compressBlock for a block of uncompLen bytes.
+// Stage 1 writes at most five bytes for every four, so a stage-1 length
+// above uncompLen + uncompLen/4 is refused before any symbol decodes, and
+// no stage decodes past its share.
+func decompressBlock(stream []byte, uncompLen int) ([]byte, error) {
 	r := bitio.NewReader(stream)
 	rle1Len, err := r.ReadBits(32)
 	if err != nil {
 		return nil, err
+	}
+	if bound := uint64(uncompLen) + uint64(uncompLen)/4; rle1Len > bound {
+		return nil, fmt.Errorf("stage-1 length %d exceeds %d, the most a %d-byte block writes", rle1Len, bound, uncompLen)
 	}
 	primary, err := r.ReadBits(32)
 	if err != nil {
@@ -313,7 +320,7 @@ func decompressBlock(stream []byte) ([]byte, error) {
 		return nil, fmt.Errorf("symbol stream missing EOB")
 	}
 
-	mtf, err := rle2Decode(syms)
+	mtf, err := rle2Decode(syms, int(rle1Len))
 	if err != nil {
 		return nil, err
 	}
@@ -328,5 +335,5 @@ func decompressBlock(stream []byte) ([]byte, error) {
 		return nil, fmt.Errorf("primary index %d out of range", primary)
 	}
 	rle1 := bwt.Inverse(last, int(primary))
-	return rle1Decode(rle1)
+	return rle1Decode(rle1, uncompLen)
 }

@@ -61,7 +61,7 @@ func TestRLE1RoundTrip(t *testing.T) {
 	}
 	for _, in := range inputs {
 		enc := rle1Encode(in, rle1MaxRun)
-		dec, err := rle1Decode(enc)
+		dec, err := rle1Decode(enc, len(in))
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -81,14 +81,14 @@ func TestRLE1CompressesRuns(t *testing.T) {
 
 func TestRLE1RejectsTruncation(t *testing.T) {
 	enc := rle1Encode(bytes.Repeat([]byte{'q'}, 100), rle1MaxRun)
-	if _, err := rle1Decode(enc[:len(enc)-1]); err == nil {
+	if _, err := rle1Decode(enc[:len(enc)-1], 100); err == nil {
 		t.Fatal("accepted truncated RLE1")
 	}
 }
 
 func TestRLE1Quick(t *testing.T) {
 	f := func(data []byte) bool {
-		dec, err := rle1Decode(rle1Encode(data, rle1MaxRun))
+		dec, err := rle1Decode(rle1Encode(data, rle1MaxRun), len(data))
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -111,7 +111,7 @@ func TestRLE2RoundTrip(t *testing.T) {
 		if syms[len(syms)-1] != symEOB {
 			t.Fatalf("%v: missing EOB", in)
 		}
-		dec, err := rle2Decode(syms)
+		dec, err := rle2Decode(syms, len(in))
 		if err != nil {
 			t.Fatalf("%v: %v", in, err)
 		}
@@ -131,20 +131,20 @@ func TestRLE2ZeroRunsCrush(t *testing.T) {
 }
 
 func TestRLE2Errors(t *testing.T) {
-	if _, err := rle2Decode([]uint16{5}); err == nil {
+	if _, err := rle2Decode([]uint16{5}, 10); err == nil {
 		t.Fatal("accepted stream without EOB")
 	}
-	if _, err := rle2Decode([]uint16{symEOB, 5}); err == nil {
+	if _, err := rle2Decode([]uint16{symEOB, 5}, 10); err == nil {
 		t.Fatal("accepted data after EOB")
 	}
-	if _, err := rle2Decode(nil); err == nil {
+	if _, err := rle2Decode(nil, 10); err == nil {
 		t.Fatal("accepted empty stream")
 	}
 }
 
 func TestRLE2Quick(t *testing.T) {
 	f := func(data []byte) bool {
-		dec, err := rle2Decode(rle2Encode(data, symEOB))
+		dec, err := rle2Decode(rle2Encode(data, symEOB), len(data))
 		if err != nil {
 			return false
 		}
@@ -288,6 +288,34 @@ func TestNTablesHeuristic(t *testing.T) {
 	for _, c := range cases {
 		if got := nTablesFor(c.n); got != c.want {
 			t.Errorf("nTablesFor(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
+// TestDecodersStopAtTheirClaims: each run-length decoder fails once its
+// output would pass its limit, and a block whose stage-1 length is more
+// than its claimed size can produce fails before its symbols decode.
+func TestDecodersStopAtTheirClaims(t *testing.T) {
+	if _, err := rle1Decode(rle1Encode(bytes.Repeat([]byte{'z'}, 1000), rle1MaxRun), 999); err == nil {
+		t.Error("rle1Decode passed its limit")
+	}
+	if _, err := rle2Decode(rle2Encode(make([]byte, 1000), symEOB), 999); err == nil {
+		t.Error("rle2Decode passed its limit in a zero run")
+	}
+	if _, err := rle2Decode(rle2Encode([]byte{1, 2, 3}, symEOB), 2); err == nil {
+		t.Error("rle2Decode passed its limit with a literal")
+	}
+	data := genText(1000, 7)
+	block := compressBlock(data, nil)
+	if got, err := decompressBlock(block, len(data)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("block under its own claim: %v", err)
+	}
+	for _, c := range []struct {
+		claim int
+		want  string
+	}{{999, "passes the block length"}, {100, "stage-1 length"}} {
+		if _, err := decompressBlock(block, c.claim); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("block of %d bytes claiming %d: %v, want %q", len(data), c.claim, err, c.want)
 		}
 	}
 }

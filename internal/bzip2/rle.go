@@ -36,8 +36,9 @@ func rle1Encode(data []byte, maxRun int) []byte {
 	return out
 }
 
-// rle1Decode inverts rle1Encode.
-func rle1Decode(data []byte) ([]byte, error) {
+// rle1Decode inverts rle1Encode, failing as soon as its output would pass
+// limit bytes.
+func rle1Decode(data []byte, limit int) ([]byte, error) {
 	out := make([]byte, 0, len(data)*2)
 	i := 0
 	for i < len(data) {
@@ -46,13 +47,19 @@ func rle1Decode(data []byte) ([]byte, error) {
 		for i+run < len(data) && run < 4 && data[i+run] == c {
 			run++
 		}
+		extra := 0
+		if run == 4 {
+			if i+run >= len(data) {
+				return nil, fmt.Errorf("bzip2: truncated RLE1 run count")
+			}
+			extra = int(data[i+run])
+		}
+		if len(out)+run+extra > limit {
+			return nil, fmt.Errorf("bzip2: RLE1 output passes the block length %d", limit)
+		}
 		out = append(out, data[i:i+run]...)
 		i += run
 		if run == 4 {
-			if i >= len(data) {
-				return nil, fmt.Errorf("bzip2: truncated RLE1 run count")
-			}
-			extra := int(data[i])
 			i++
 			for k := 0; k < extra; k++ {
 				out = append(out, c)
@@ -111,8 +118,10 @@ func rle2Encode(mtf []byte, eob uint16) []uint16 {
 }
 
 // rle2Decode inverts the container's rle2Encode; the input must end with
-// symEOB.
-func rle2Decode(syms []uint16) ([]byte, error) {
+// symEOB. It fails as soon as a run or a literal would take its output
+// past limit bytes.
+func rle2Decode(syms []uint16, limit int) ([]byte, error) {
+	const errPast = "bzip2: symbol stream decodes past the stage-1 length %d"
 	out := make([]byte, 0, len(syms)*2)
 	i := 0
 	for {
@@ -135,6 +144,9 @@ func rle2Decode(syms []uint16) ([]byte, error) {
 				} else {
 					run += 2 * place
 				}
+				if run > limit-len(out) {
+					return nil, fmt.Errorf(errPast, limit)
+				}
 				place *= 2
 				i++
 			}
@@ -142,6 +154,9 @@ func rle2Decode(syms []uint16) ([]byte, error) {
 				out = append(out, 0)
 			}
 		case s <= 256:
+			if len(out) == limit {
+				return nil, fmt.Errorf(errPast, limit)
+			}
 			out = append(out, byte(s-1))
 			i++
 		default:

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"culzss/internal/bitio"
 	"culzss/internal/format"
 	"culzss/internal/lzss"
 )
@@ -45,7 +46,27 @@ func hostileContainers() map[string][]byte {
 	if err != nil {
 		panic(err)
 	}
-	h.ChunkSize, h.OriginalLen = 64<<20, 64<<20
+	// A 199-byte container with the same header, whose one block claims
+	// one byte but codes 24 RUNB symbols then EOB: a zero run of 2^25-2
+	// bytes. Its one table codes RUNB as 0 and EOB as 1.
+	block := bitio.NewWriter(0)
+	block.WriteBits(1, 32) // stage-1 length
+	block.WriteBits(0, 32) // primary index
+	block.WriteBits(1, 8)  // tables
+	block.WriteBits(1, 32) // groups
+	block.WriteBits(0, 3)  // the group's table
+	for sym := 0; sym < 258; sym++ {
+		if sym == 1 || sym == 257 {
+			block.WriteBits(1, 5)
+		} else {
+			block.WriteBits(0, 5)
+		}
+	}
+	block.WriteBits(0, 24)
+	block.WriteBit(1)
+	h.ChunkSizes = []int{len(block.Bytes())}
+	zeroRun := append(format.AppendHeader(nil, h), block.Bytes()...)
+	h.ChunkSize, h.OriginalLen, h.ChunkSizes = 64<<20, 64<<20, nil
 	bz = append(format.AppendHeader(nil, h), bz[off:]...)
 	return map[string][]byte{
 		// Two payload bytes claiming 1 GiB of output.
@@ -64,6 +85,7 @@ func hostileContainers() map[string][]byte {
 		"serial-wide-length":  bare(format.CodecSerialBitPacked, wide, 0, 64<<20, 0, []int{64}),
 		"pthread-wide-length": bare(format.CodecChunkedBitPacked, wide, 64<<20, 64<<20, 0, []int{64}),
 		"bzip2-64MiB-claim":   bz,
+		"bzip2-zero-run":      zeroRun,
 	}
 }
 

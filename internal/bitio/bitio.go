@@ -72,9 +72,6 @@ func (w *Writer) WriteByte(b byte) error {
 // partially filled final byte.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// BitLen reports the total number of bits written.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // Bytes flushes any partial byte (zero-padding the tail) and returns the
 // underlying buffer. The Writer may continue to be used afterwards, but the
 // padding bits become part of the stream, so Bytes is normally terminal.
@@ -141,12 +138,6 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 func (r *Reader) ReadByte() (byte, error) {
 	v, err := r.ReadBits(8)
 	return byte(v), err
-}
-
-// BitsRemaining reports how many bits are left in the stream, including
-// any zero padding appended by Writer.Bytes.
-func (r *Reader) BitsRemaining() int {
-	return (len(r.buf)-r.pos)*8 + int(r.rem)
 }
 
 // Width returns the minimum number of bits needed to represent values in

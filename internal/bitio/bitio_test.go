@@ -39,15 +39,12 @@ func TestBytesPadsPartialByte(t *testing.T) {
 	}
 }
 
-func TestBitLenAndLen(t *testing.T) {
+func TestLen(t *testing.T) {
 	w := NewWriter(0)
-	if w.BitLen() != 0 || w.Len() != 0 {
+	if w.Len() != 0 {
 		t.Fatalf("zero writer has nonzero length")
 	}
 	w.WriteBits(0x1FF, 9)
-	if w.BitLen() != 9 {
-		t.Fatalf("BitLen = %d, want 9", w.BitLen())
-	}
 	if w.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 full byte", w.Len())
 	}
@@ -105,25 +102,12 @@ func TestReaderEOFMidGroup(t *testing.T) {
 	}
 }
 
-func TestBitsRemaining(t *testing.T) {
-	r := NewReader([]byte{0, 0, 0})
-	if got := r.BitsRemaining(); got != 24 {
-		t.Fatalf("BitsRemaining = %d, want 24", got)
-	}
-	if _, err := r.ReadBits(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.BitsRemaining(); got != 19 {
-		t.Fatalf("BitsRemaining = %d, want 19", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0xDEAD, 16)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen after Reset = %d", w.BitLen())
+	if w.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", w.Len())
 	}
 	w.WriteBits(0x01, 8)
 	if got := w.Bytes(); !bytes.Equal(got, []byte{1}) {

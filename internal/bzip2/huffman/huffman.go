@@ -192,9 +192,6 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) error {
 	return nil
 }
 
-// CodeLen reports the length of sym's code (0 = absent).
-func (e *Encoder) CodeLen(sym int) int { return int(e.lengths[sym]) }
-
 // Decoder reads symbols of one canonical table using the limit/base
 // method: per length l it knows the largest code value and the index of
 // the first symbol of that length.

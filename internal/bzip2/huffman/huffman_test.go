@@ -214,14 +214,3 @@ func TestDecoderErrors(t *testing.T) {
 		t.Fatal("decoded from empty stream")
 	}
 }
-
-func TestCodeLen(t *testing.T) {
-	lengths := BuildLengths([]int64{100, 1}, MaxCodeLen)
-	enc, err := NewEncoder(lengths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc.CodeLen(0) == 0 || enc.CodeLen(1) == 0 {
-		t.Fatal("present symbols report zero length")
-	}
-}

@@ -191,9 +191,6 @@ func TestTablesRender(t *testing.T) {
 			t.Errorf("Figure 4 missing %q", want)
 		}
 	}
-	if s := SpeedupOf(m, "C files", SysV1); s <= 0 {
-		t.Errorf("SpeedupOf = %v", s)
-	}
 }
 
 func TestRunDecompression(t *testing.T) {

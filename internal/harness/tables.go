@@ -180,11 +180,6 @@ func Figure4(m *Matrix) *Table {
 	return t
 }
 
-// SpeedupOf returns a single Figure 4 data point.
-func SpeedupOf(m *Matrix, dataset, system string) float64 {
-	return stats.Speedup(m.Cell(dataset, SysSerial).Time, m.Cell(dataset, system).Time)
-}
-
 // CSV renders the table as RFC-4180-ish CSV (title as a comment line),
 // for downstream plotting.
 func (t *Table) CSV() string {

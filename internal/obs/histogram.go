@@ -13,26 +13,15 @@ var DefBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// reservoirCap bounds the per-histogram sample reservoir backing the
-// quantile snapshots. 512 recent samples give stable p50/p90/p99 for the
-// segment-scale event rates this pipeline sees, at 4 KiB per series.
-const reservoirCap = 512
-
 // Histogram accumulates float64 observations into fixed buckets
-// (Prometheus-style cumulative on exposition) and a bounded reservoir of
-// the most recent observations for quantile snapshots. All methods are
-// safe for concurrent use and inert on a nil receiver.
+// (Prometheus-style cumulative on exposition). All methods are safe for
+// concurrent use and inert on a nil receiver.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds; +Inf implicit
 	counts []uint64  // per-bucket (non-cumulative), len(bounds)+1
 	count  uint64
 	sum    float64
-
-	// Ring reservoir of recent observations.
-	recent []float64
-	next   int
-	full   bool
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -58,13 +47,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-	if len(h.recent) < reservoirCap {
-		h.recent = append(h.recent, v)
-	} else {
-		h.recent[h.next] = v
-		h.full = true
-	}
-	h.next = (h.next + 1) % reservoirCap
 	h.mu.Unlock()
 }
 
@@ -76,8 +58,6 @@ type HistSnapshot struct {
 	Cumulative []uint64
 	Count      uint64
 	Sum        float64
-	// quantile source: sorted copy of the recent-sample reservoir.
-	sorted []float64
 }
 
 // Snapshot returns a consistent copy of the histogram's state. The zero
@@ -93,45 +73,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		Cumulative: make([]uint64, len(h.bounds)),
 		Count:      h.count,
 		Sum:        h.sum,
-		sorted:     append([]float64(nil), h.recent...),
 	}
 	var run uint64
 	for i := range h.bounds {
 		run += h.counts[i]
 		snap.Cumulative[i] = run
 	}
-	sort.Float64s(snap.sorted)
 	return snap
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) over the histogram's
-// recent-sample reservoir, or 0 when no samples were recorded. The
-// reservoir holds the most recent observations (up to its fixed
-// capacity), so on a long-lived series this is a sliding-window
-// quantile, which is what a dashboard wants anyway.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	n := len(s.sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s.sorted[0]
-	}
-	if q >= 1 {
-		return s.sorted[n-1]
-	}
-	// Nearest-rank on the sorted reservoir.
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return s.sorted[i]
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

@@ -23,7 +23,7 @@ func TestNilRegistryInert(t *testing.T) {
 	if r.Counter("c_total").Value() != 0 || r.Gauge("g").Value() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
-	if snap := r.Histogram("h_seconds").Snapshot(); snap.Count != 0 || snap.Quantile(0.5) != 0 {
+	if snap := r.Histogram("h_seconds").Snapshot(); snap.Count != 0 || snap.Sum != 0 {
 		t.Fatal("nil histogram snapshot must be zero")
 	}
 	tr := r.Tracer()
@@ -62,7 +62,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramBuckets("culzss_h_seconds", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
@@ -78,37 +78,8 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d", i, snap.Cumulative[i], want)
 		}
 	}
-	if got := snap.Quantile(0.5); got != 0.5 {
-		t.Fatalf("p50 = %v, want 0.5", got)
-	}
-	if got := snap.Quantile(1); got != 50 {
-		t.Fatalf("p100 = %v, want 50", got)
-	}
-	if got := snap.Quantile(0); got != 0.05 {
-		t.Fatalf("p0 = %v, want 0.05", got)
-	}
-	if m := snap.Mean(); m < 11.2 || m > 11.3 {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
-func TestHistogramReservoirSlides(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("culzss_slide_seconds")
-	// Fill past the reservoir with small values, then flood with 9s: the
-	// quantiles must reflect the recent window, not the whole history.
-	for i := 0; i < reservoirCap; i++ {
-		h.Observe(0.001)
-	}
-	for i := 0; i < reservoirCap; i++ {
-		h.Observe(9)
-	}
-	snap := h.Snapshot()
-	if snap.Count != 2*reservoirCap {
-		t.Fatalf("count = %d", snap.Count)
-	}
-	if got := snap.Quantile(0.5); got != 9 {
-		t.Fatalf("sliding p50 = %v, want 9", got)
+	if snap.Sum < 56.04 || snap.Sum > 56.06 {
+		t.Fatalf("sum = %v", snap.Sum)
 	}
 }
 

@@ -85,14 +85,6 @@ func Speedup(base, other time.Duration) float64 {
 	return float64(base) / float64(other)
 }
 
-// Throughput returns bytes processed per second for the given duration.
-func Throughput(bytes int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) / d.Seconds()
-}
-
 // FormatBytes renders a byte count with binary units (KiB, MiB, ...).
 func FormatBytes(n int64) string {
 	const unit = 1024
@@ -105,19 +97,4 @@ func FormatBytes(n int64) string {
 		exp++
 	}
 	return fmt.Sprintf("%.1f %ciB", float64(n)/float64(div), "KMGTPE"[exp])
-}
-
-// FormatThroughput renders bytes/second with binary units.
-func FormatThroughput(bytesPerSec float64) string {
-	const unit = 1024.0
-	if bytesPerSec < unit {
-		return fmt.Sprintf("%.0f B/s", bytesPerSec)
-	}
-	exp := 0
-	v := bytesPerSec / unit
-	for v >= unit && exp < 5 {
-		v /= unit
-		exp++
-	}
-	return fmt.Sprintf("%.1f %ciB/s", v, "KMGTPE"[exp])
 }

@@ -74,15 +74,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	if got := Throughput(1000, time.Second); got != 1000 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := Throughput(1000, 0); got != 0 {
-		t.Fatalf("Throughput with zero duration = %v", got)
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		n    int64
@@ -99,17 +90,5 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(c.n); got != c.want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", c.n, got, c.want)
 		}
-	}
-}
-
-func TestFormatThroughput(t *testing.T) {
-	if got := FormatThroughput(100); got != "100 B/s" {
-		t.Fatalf("got %q", got)
-	}
-	if got := FormatThroughput(2048); got != "2.0 KiB/s" {
-		t.Fatalf("got %q", got)
-	}
-	if got := FormatThroughput(3 * 1024 * 1024); got != "3.0 MiB/s" {
-		t.Fatalf("got %q", got)
 	}
 }

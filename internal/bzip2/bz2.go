@@ -11,9 +11,8 @@ import (
 // The .bz2 format's choices for the shared stages, where they differ
 // from the container's.
 const (
-	bz2MaxRun       = 4 + 251 // a run unit's count byte is 0..251
-	bz2MaxCodeLen   = 17      // encoder choice; the format allows up to 20
-	bz2MaxSelectors = 18002
+	bz2MaxRun     = 4 + 251 // a run unit's count byte is 0..251
+	bz2MaxCodeLen = 17      // encoder choice; the format allows up to 20
 )
 
 // EncodeBZ2 compresses data into a complete .bz2 stream, the interchange
@@ -35,12 +34,19 @@ func EncodeBZ2(w io.Writer, data []byte, level int) error {
 
 	blockSize := level * 100_000
 	var streamCRC uint32
-	for off := 0; off < len(data); off += blockSize {
-		blockCRC, err := encodeBZ2Block(bw, data[off:min(off+blockSize, len(data))])
-		if err != nil {
-			return err
+	for off := 0; off < len(data); {
+		// The format bounds a block's stage-1 output, which runs of
+		// exactly four bytes make longer than its input, so a block that
+		// outgrows the bound gives up input until it fits.
+		end := min(off+blockSize, len(data))
+		rle1 := rle1Encode(data[off:end], bz2MaxRun)
+		for len(rle1) > blockSize {
+			end -= len(rle1) - blockSize
+			rle1 = rle1Encode(data[off:end], bz2MaxRun)
 		}
+		blockCRC := encodeBZ2Block(bw, data[off:end], rle1)
 		streamCRC = (streamCRC<<1 | streamCRC>>31) ^ blockCRC
+		off = end
 	}
 
 	// Stream footer: sqrt(pi) magic + combined CRC.
@@ -52,10 +58,10 @@ func EncodeBZ2(w io.Writer, data []byte, level int) error {
 	return nil
 }
 
-// encodeBZ2Block writes one non-empty block and returns its CRC.
-func encodeBZ2Block(bw *bitio.Writer, block []byte) (uint32, error) {
+// encodeBZ2Block writes one non-empty block, whose stage-1 output is
+// rle1, and returns its CRC.
+func encodeBZ2Block(bw *bitio.Writer, block, rle1 []byte) uint32 {
 	blockCRC := crc32bz(block)
-	rle1 := rle1Encode(block, bz2MaxRun)
 	last, primary := bwt.Transform(rle1, nil)
 
 	// The MTF alphabet is the used bytes, ascending; the symbol alphabet
@@ -70,10 +76,9 @@ func encodeBZ2Block(bw *bitio.Writer, block []byte) (uint32, error) {
 			alphabet = append(alphabet, byte(v))
 		}
 	}
+	// At most one symbol per stage-1 byte plus EOB: 900,001 symbols need
+	// 18,001 selectors, within the format's 18,002.
 	syms := rle2Encode(mtfEncode(last, alphabet), uint16(len(alphabet)+1))
-	if n := (len(syms) + groupSize - 1) / groupSize; n > bz2MaxSelectors {
-		return 0, fmt.Errorf("bzip2: %d selectors exceed the .bz2 limit", n)
-	}
 	lengths, selectors := refineTables(syms, len(alphabet)+2, nTablesFor(len(syms)), bz2MaxCodeLen)
 
 	// --- serialise ---
@@ -147,7 +152,7 @@ func encodeBZ2Block(bw *bitio.Writer, block []byte) (uint32, error) {
 	}
 
 	writeSymbols(bw, syms, lengths, selectors)
-	return blockCRC, nil
+	return blockCRC
 }
 
 // crc32bz is bzip2's CRC-32: polynomial 0x04c11db7, MSB-first (not

@@ -100,6 +100,18 @@ func TestMultiBlockStreams(t *testing.T) {
 	roundTripStd(t, multiBlockInput(), 1)
 }
 
+// TestStage1GrowthStaysInBlock: runs of exactly four bytes make stage 1
+// a quarter longer than its input, and the format bounds a block's
+// stage-1 output, so a full level-1 block of them must move input into
+// the next block.
+func TestStage1GrowthStaysInBlock(t *testing.T) {
+	var data []byte
+	for i := 0; len(data) < 100_000; i++ {
+		data = append(data, bytes.Repeat([]byte{byte('a' + i%26)}, 4)...)
+	}
+	roundTripStd(t, data, 1)
+}
+
 // FuzzEncodeBZ2 checks both serializations of the shared stages on any
 // input: the standard library's reader must decode the .bz2 writer's
 // output back to it, and the container must round-trip it.

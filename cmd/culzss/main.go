@@ -148,7 +148,7 @@ func run(args []string) error {
 		degrade    = fs.Bool("degrade", false, "supervise the GPU path: launch failures quarantine the device and the work degrades to the byte-identical CPU encoder instead of failing")
 		metricsOut = fs.Bool("metrics", false, "dump the run's metrics (Prometheus text format) to stderr when done")
 		dWorkers   = fs.Int("workers", 0, "with -d on a framed stream: decode worker-pool size — that many segments decompress concurrently, delivery stays in order (0 = GOMAXPROCS)")
-		dPrefetch  = fs.Int("prefetch", 0, "with -d on a framed stream: records read ahead of delivery (0 = worker count)")
+		dPrefetch  = fs.Int("prefetch", 0, "with -d on a framed stream: depth of the in-order queue to delivery, not read-ahead; repair-mode read-ahead is one parity group (0 = worker count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

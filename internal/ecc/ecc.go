@@ -13,6 +13,10 @@
 // special-case that path (the common k+1 configuration pays no table
 // lookups).
 //
+// ParityRow and ReconstructData take data shards shorter than the shard
+// length as zero-padded to it: a caller with frames of different lengths
+// passes them as they are, and the kernel skips the zero tail anyway.
+//
 // The coder is stateless after construction and safe for concurrent use.
 package ecc
 
@@ -88,13 +92,36 @@ func (c *Coder) Parity(data [][]byte) ([][]byte, error) {
 	parity := make([][]byte, c.m)
 	for j := range parity {
 		parity[j] = make([]byte, size)
-	}
-	for j := 0; j < c.m; j++ {
-		for i := 0; i < c.k; i++ {
-			mulSliceAdd(parity[j], data[i], c.rows[j][i])
-		}
+		c.encodeRow(parity[j], data, j)
 	}
 	return parity, nil
+}
+
+// ParityRow overwrites dst with parity shard j of data. Every data shard
+// counts as zero-padded to len(dst), so none may be longer.
+func (c *Coder) ParityRow(dst []byte, data [][]byte, j int) error {
+	if len(data) != c.k || j < 0 || j >= c.m {
+		return fmt.Errorf("%w: %d data shards and parity row %d, coder has k=%d m=%d", ErrShardCount, len(data), j, c.k, c.m)
+	}
+	if len(dst) == 0 {
+		return ErrShardSize
+	}
+	for _, d := range data {
+		if len(d) > len(dst) {
+			return fmt.Errorf("%w: data shard of %d bytes, parity row of %d", ErrShardSize, len(d), len(dst))
+		}
+	}
+	c.encodeRow(dst, data, j)
+	return nil
+}
+
+// encodeRow sets dst to parity row j over data, each shard no longer
+// than dst.
+func (c *Coder) encodeRow(dst []byte, data [][]byte, j int) {
+	clear(dst)
+	for i, d := range data {
+		mulSliceAdd(dst, d, c.rows[j][i])
+	}
 }
 
 // Reconstruct fills in the missing (nil) shards of a full k+m shard
@@ -106,57 +133,64 @@ func (c *Coder) Reconstruct(shards [][]byte) error {
 	if len(shards) != c.k+c.m {
 		return fmt.Errorf("%w: got %d shards, coder wants %d", ErrShardCount, len(shards), c.k+c.m)
 	}
-	present := 0
 	var size int
 	for _, s := range shards {
 		if s == nil {
 			continue
 		}
-		present++
 		if size == 0 {
 			size = len(s)
 		} else if len(s) != size {
 			return fmt.Errorf("%w: lengths %d and %d", ErrShardSize, size, len(s))
 		}
 	}
-	if size == 0 {
-		return ErrShardSize
-	}
-	if present < c.k {
-		return fmt.Errorf("%w: %d of %d present, need %d", ErrTooFewShards, present, c.k+c.m, c.k)
-	}
-	if present == c.k+c.m {
-		return nil // nothing missing
-	}
-
-	if err := c.reconstructData(shards, size); err != nil {
+	if _, err := c.ReconstructData(shards, size); err != nil {
 		return err
 	}
 	// With all data shards in hand, missing parity is a re-encode.
 	for j := 0; j < c.m; j++ {
-		if shards[c.k+j] != nil {
-			continue
+		if shards[c.k+j] == nil {
+			shards[c.k+j] = make([]byte, size)
+			c.encodeRow(shards[c.k+j], shards[:c.k], j)
 		}
-		p := make([]byte, size)
-		for i := 0; i < c.k; i++ {
-			mulSliceAdd(p, shards[i], c.rows[j][i])
-		}
-		shards[c.k+j] = p
 	}
 	return nil
 }
 
-// reconstructData rebuilds the missing data shards (parity slots are
-// left as they are).
-func (c *Coder) reconstructData(shards [][]byte, size int) error {
-	missing := 0
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			missing++
+// ReconstructData rebuilds the missing (nil) data shards, shards[0..k),
+// in place from the present data and parity shards; it reads the parity
+// slots, shards[k..k+m), and leaves them as they are. A parity shard is
+// size bytes. A data shard may be shorter and counts as zero-padded to
+// size; a rebuilt one is size bytes. At least k shards must be present.
+//
+// It returns the parity rows the decode used as equations, ascending.
+// Those rows hold over the rebuilt data by construction, so a caller
+// checking the group against its parity need only recompute the others.
+func (c *Coder) ReconstructData(shards [][]byte, size int) ([]int, error) {
+	if len(shards) != c.k+c.m {
+		return nil, fmt.Errorf("%w: got %d shards, coder wants %d", ErrShardCount, len(shards), c.k+c.m)
+	}
+	if size <= 0 {
+		return nil, ErrShardSize
+	}
+	present, missing := 0, 0
+	for i, s := range shards {
+		switch {
+		case s == nil:
+			if i < c.k {
+				missing++
+			}
+			continue
+		case i < c.k && len(s) > size, i >= c.k && len(s) != size:
+			return nil, fmt.Errorf("%w: shard %d is %d bytes, shard length %d", ErrShardSize, i, len(s), size)
 		}
+		present++
+	}
+	if present < c.k {
+		return nil, fmt.Errorf("%w: %d of %d present, need %d", ErrTooFewShards, present, c.k+c.m, c.k)
 	}
 	if missing == 0 {
-		return nil
+		return nil, nil
 	}
 
 	if c.m == 1 {
@@ -172,7 +206,7 @@ func (c *Coder) reconstructData(shards [][]byte, size int) error {
 			mulSliceAdd(out, s, 1)
 		}
 		shards[hole] = out
-		return nil
+		return []int{0}, nil
 	}
 
 	// Choose k surviving shards (data first — identity rows keep the
@@ -180,6 +214,7 @@ func (c *Coder) reconstructData(shards [][]byte, size int) error {
 	// encoding matrix their rows form.
 	subM := make([][]byte, 0, c.k)
 	subS := make([][]byte, 0, c.k)
+	used := make([]int, 0, missing)
 	for i := 0; i < c.k && len(subM) < c.k; i++ {
 		if shards[i] == nil {
 			continue
@@ -197,9 +232,10 @@ func (c *Coder) reconstructData(shards [][]byte, size int) error {
 		copy(row, c.rows[j])
 		subM = append(subM, row)
 		subS = append(subS, shards[c.k+j])
+		used = append(used, j)
 	}
 	if !invertMatrix(subM) {
-		return fmt.Errorf("ecc: submatrix not invertible (corrupted shard set)")
+		return nil, fmt.Errorf("ecc: submatrix not invertible (corrupted shard set)")
 	}
 	// data[i] = Σ_r subM[i][r] · subS[r], but only the missing rows need
 	// computing.
@@ -213,7 +249,7 @@ func (c *Coder) reconstructData(shards [][]byte, size int) error {
 		}
 		shards[i] = out
 	}
-	return nil
+	return used, nil
 }
 
 // shardSize validates equal non-zero lengths and returns the common one.

@@ -280,3 +280,106 @@ func BenchmarkParityXOR8Plus1(b *testing.B) {
 		}
 	}
 }
+
+// TestShortShardsMatchPadded pins the zero-tail rule: a data shard
+// shorter than the shard length gives the same kernel output, parity row
+// and reconstruction as its zero-padded copy, for coefficient 0, 1 and
+// every other, and the rows ReconstructData reports as used hold over
+// what it rebuilt.
+func TestShortShardsMatchPadded(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const size = 67
+	for c := 0; c < 256; c++ {
+		for _, n := range []int{0, 1, 7, 8, 9, 40, size} {
+			short := make([]byte, n)
+			rng.Read(short)
+			padded := make([]byte, size)
+			copy(padded, short)
+			a, b := make([]byte, size), make([]byte, size)
+			rng.Read(a)
+			copy(b, a)
+			mulSliceAdd(a, short, byte(c))
+			mulSliceAdd(b, padded, byte(c))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("c=%d: a %d-byte shard and its padded copy give different products", c, n)
+			}
+		}
+	}
+	// m=1 is the all-ones row; the Cauchy rows of m>1 hold the others.
+	for _, geo := range []struct{ k, m int }{{1, 1}, {3, 1}, {4, 2}, {5, 3}, {8, 4}} {
+		c, err := New(geo.k, geo.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := make([][]byte, geo.k)
+		padded := make([][]byte, geo.k)
+		full := rng.Intn(geo.k) // one shard is as long as the row
+		for i := range short {
+			n := 1 + rng.Intn(size)
+			if i == full {
+				n = size
+			}
+			short[i] = make([]byte, n)
+			rng.Read(short[i])
+			padded[i] = make([]byte, size)
+			copy(padded[i], short[i])
+		}
+		parity, err := c.Parity(padded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]byte, size)
+		for j := range parity {
+			if err := c.ParityRow(row, short, j); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(row, parity[j]) {
+				t.Fatalf("k=%d m=%d: parity row %d over short shards differs from the padded one", geo.k, geo.m, j)
+			}
+		}
+		for erase := 1; erase <= geo.m; erase++ {
+			combinations(geo.k+geo.m, erase, func(pick []int) {
+				shards := append(append([][]byte{}, short...), parity...)
+				want := append(append([][]byte{}, padded...), parity...)
+				for _, p := range pick {
+					shards[p], want[p] = nil, nil
+				}
+				used, err := c.ReconstructData(shards, size)
+				if err != nil {
+					t.Fatalf("k=%d m=%d erased %v: %v", geo.k, geo.m, pick, err)
+				}
+				if err := c.Reconstruct(want); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < geo.k; i++ {
+					if shards[i] == nil || !bytes.Equal(shards[i], padded[i][:len(shards[i])]) || !bytes.Equal(want[i], padded[i]) {
+						t.Fatalf("k=%d m=%d erased %v: data shard %d differs from the padded reconstruction", geo.k, geo.m, pick, i)
+					}
+				}
+				for _, p := range pick {
+					if p >= geo.k && shards[p] != nil {
+						t.Fatalf("k=%d m=%d erased %v: ReconstructData filled parity slot %d", geo.k, geo.m, pick, p-geo.k)
+					}
+				}
+				for _, j := range used {
+					if shards[geo.k+j] == nil {
+						t.Fatalf("k=%d m=%d erased %v: used parity row %d is missing", geo.k, geo.m, pick, j)
+					}
+					if err := c.ParityRow(row, shards[:geo.k], j); err != nil || !bytes.Equal(row, parity[j]) {
+						t.Fatalf("k=%d m=%d erased %v: used parity row %d does not hold", geo.k, geo.m, pick, j)
+					}
+				}
+			})
+		}
+	}
+	c, _ := New(2, 1)
+	if err := c.ParityRow(make([]byte, 2), [][]byte{{1, 2, 3}, {4}}, 0); !errors.Is(err, ErrShardSize) {
+		t.Errorf("data shard longer than the row: got %v, want ErrShardSize", err)
+	}
+	if err := c.ParityRow(make([]byte, 2), [][]byte{{1}, {4}}, 1); !errors.Is(err, ErrShardCount) {
+		t.Errorf("parity row out of range: got %v, want ErrShardCount", err)
+	}
+	if _, err := c.ReconstructData([][]byte{nil, {1}, {2, 3}}, 1); !errors.Is(err, ErrShardSize) {
+		t.Errorf("parity shard longer than size: got %v, want ErrShardSize", err)
+	}
+}

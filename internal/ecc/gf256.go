@@ -66,8 +66,9 @@ func gfInv(a byte) byte { return gfDiv(1, a) }
 // matrix row applied to shards — eight bytes per step. c == 0 is a
 // no-op; c == 1 degenerates to plain XOR, which is the m=1 fast path's
 // whole computation; any other c reads row c of gfMulTable. The all-zero
-// tail of src is skipped (c·0 = 0): a shard zero-padded up to the
-// group's longest frame costs only its real bytes.
+// tail of src is skipped (c·0 = 0), and a src shorter than dst counts as
+// zero-padded to it, changing only dst[:len(src)]: a frame shorter than
+// its group's longest costs only its real bytes, padded or not.
 func mulSliceAdd(dst, src []byte, c byte) {
 	if c == 0 {
 		return

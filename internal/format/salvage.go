@@ -240,7 +240,7 @@ func (fr *FrameReader) trySegment(pos int, h *head) (record, error) {
 	switch rep := fr.rep; {
 	case !fr.salvage:
 		hi = lo // normal mode: the next index and no other
-	case rep != nil && !rep.disabled:
+	case fr.holding():
 		// Repair mode holds frames until their group closes, so the
 		// strict cursor can have been dragged ahead by an imposter
 		// (index-varint flip). Accept anything not yet delivered; the
@@ -262,10 +262,21 @@ func (fr *FrameReader) trySegment(pos int, h *head) (record, error) {
 		return record{}, reject(pos > 0, func() error { return fmt.Errorf("%w: segment %d", ErrFrameChecksum, index) })
 	}
 	// Copy out: the window's array is reused as it slides, and by the
-	// next stream once this one ends.
-	c := fr.lease(compLen)
-	copy(c, container)
-	return record{frame: &SegmentFrame{Index: index, RawLen: rawLen, Container: c, crc: h.crc}, n: end - pos}, nil
+	// next stream once this one ends. A reader holding frames for repair
+	// copies out the whole record, head in canonical form, in one buffer:
+	// parity covers the record's bytes, and the container ends them.
+	f := &SegmentFrame{Index: index, RawLen: rawLen}
+	if fr.holding() {
+		var hb [maxSegmentHeader]byte
+		head := appendSegmentHead(hb[:0], index, rawLen, compLen, h.crc)
+		f.rec = fr.lease(len(head) + compLen)
+		copy(f.rec, head)
+		f.Container = f.rec[len(head):]
+	} else {
+		f.Container = fr.lease(compLen)
+	}
+	copy(f.Container, container)
+	return record{frame: f, n: end - pos}, nil
 }
 
 // tryTrailer is tryRecord for the trailer.
@@ -304,8 +315,8 @@ func (fr *FrameReader) tryParity(pos int, h *head) (record, error) {
 	// Parity follows its group's data, so a real parity frame never
 	// describes a group starting past the reader's position.
 	bound := fr.nextIndex
-	if rep := fr.rep; rep != nil && !rep.disabled && rep.maxSeen+1 > bound {
-		bound = rep.maxSeen + 1
+	if fr.holding() && fr.rep.maxSeen+1 > bound {
+		bound = fr.rep.maxSeen + 1
 	}
 	if first > bound || first+k > bound+maxIndexGap {
 		return record{}, reject(pos > 0, func() error {
